@@ -10,7 +10,7 @@ use pcover_adapt::{adapt, AdaptOptions};
 use pcover_core::Variant;
 use pcover_datagen::profiles::{DatasetProfile, Scale};
 use pcover_datagen::sessions::generate_clickstream;
-use pcover_graph::io::{binary, json, LoadOptions};
+use pcover_graph::io::{json, LoadOptions};
 
 fn bench_generate_and_adapt(c: &mut Criterion) {
     let (catalog_cfg, session_cfg) = DatasetProfile::YC.configs(Scale::Fraction(0.02), 4);
@@ -75,9 +75,7 @@ fn bench_graph_io(c: &mut Criterion) {
     let dir = std::env::temp_dir().join("pcover-bench-io");
     std::fs::create_dir_all(&dir).unwrap();
     let json_path = dir.join("bench.json");
-    let bin_path = dir.join("bench.pcg");
     json::write_json(&g, &json_path).unwrap();
-    binary::write_binary(&g, &bin_path).unwrap();
 
     let mut group = c.benchmark_group("graph_io");
     group.bench_function("write_json", |b| {
@@ -87,18 +85,6 @@ fn bench_graph_io(c: &mut Criterion) {
         b.iter(|| {
             black_box(
                 json::read_json(&json_path, &LoadOptions::default())
-                    .unwrap()
-                    .edge_count(),
-            )
-        })
-    });
-    group.bench_function("write_binary", |b| {
-        b.iter(|| binary::write_binary(&g, &bin_path).unwrap())
-    });
-    group.bench_function("read_binary", |b| {
-        b.iter(|| {
-            black_box(
-                binary::read_binary(&bin_path, &LoadOptions::default())
                     .unwrap()
                     .edge_count(),
             )

@@ -193,8 +193,6 @@ pub fn solve_low_memory_normalized(
 
     let mut in_set = vec![false; n];
     let mut order: Vec<ItemId> = Vec::with_capacity(k);
-    let mut trajectory = Vec::with_capacity(k);
-    let mut cover = 0.0f64;
     let mut gain_evaluations = 0u64;
 
     let own_uncovered = |in_set: &[bool], v: ItemId| -> f64 {
@@ -225,24 +223,29 @@ pub fn solve_low_memory_normalized(
                 best = Some((gain, v));
             }
         }
-        let Some((gain, chosen)) = best else {
+        let Some((_, chosen)) = best else {
             return Err(SolveError::internal(
                 "greedy round found no candidate despite k <= n",
             ));
         };
         in_set[chosen.index()] = true;
         order.push(chosen);
-        cover += gain;
-        trajectory.push(cover);
     }
 
-    // One CoverState replay reconstructs the I-array metadata for the
-    // report (callers who truly need O(k) memory use order/trajectory and
-    // skip this; the report type carries the full array by contract).
+    // One CoverState replay reconstructs the I-array metadata and the
+    // trajectory for the report (the selection loop above keeps O(k)
+    // state; the report type carries the full array by contract). Covers
+    // come from the replay, not from summing the recomputed gains, so they
+    // are bit-identical to [`solve`]'s: the running sum drifts in the last
+    // bits, and a budget-k report's prefix must answer k' exactly as a
+    // budget-k' solve does.
     let mut state = CoverState::new(n);
+    let mut trajectory = Vec::with_capacity(k);
     for &v in &order {
         state.add_node::<Normalized>(g, v);
+        trajectory.push(state.cover());
     }
+
     Ok(finish::<Normalized>(
         Algorithm::Greedy,
         state,

@@ -1,17 +1,17 @@
 //! Serialization of preference graphs.
 //!
-//! Three formats are supported:
+//! Two interchange formats live here:
 //!
 //! * [`json`] — human-readable interchange, the default for tooling.
 //! * [`csv`] — two flat files (`nodes.csv`, `edges.csv`) for spreadsheet
 //!   inspection and ingestion from external pipelines.
-//! * [`binary`] — a compact checksummed format for large graphs (the 1M-node
-//!   scalability instances are ~100 MB as JSON but ~25 MB binary).
+//!
+//! Plus [`dot`] export for Graphviz. Large graphs go in the checksummed,
+//! zero-copy `.pcov` container of the `pcover-store` crate.
 //!
 //! All readers funnel through [`GraphBuilder`](crate::GraphBuilder), so a
 //! malformed file can never produce an invariant-violating graph.
 
-pub mod binary;
 pub mod csv;
 pub mod dot;
 pub mod json;

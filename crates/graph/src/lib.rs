@@ -24,7 +24,8 @@
 //!   self-loop completion used by the Max Vertex Cover reduction.
 //! * [`reduction`] — the approximation-preserving reductions of Theorems 3.1
 //!   and 4.1 (`NPC_k ↔ VC_k`, `DS_k → IPC_k`), used as test oracles.
-//! * [`io`] — JSON, CSV and a compact binary interchange format.
+//! * [`io`] — JSON and CSV interchange plus Graphviz DOT export (the binary
+//!   `.pcov` container lives in `pcover-store`).
 //! * [`examples`] — the paper's running examples (Figure 1, Figure 3) as
 //!   ready-made graphs for tests and documentation.
 //!

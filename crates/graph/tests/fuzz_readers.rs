@@ -1,48 +1,15 @@
-//! Robustness: the graph readers must return errors — never panic — on
-//! arbitrary garbage, truncations and mutations of valid files.
+//! Robustness: the text graph readers must return errors — never panic —
+//! on arbitrary garbage. (The `.pcov` container's garbage, truncation and
+//! mutation cases live in `crates/store/tests/store_roundtrip.rs`.)
 
 #![allow(clippy::unwrap_used)] // integration tests: panicking on setup failure is the right behavior
 
 use proptest::prelude::*;
 
-use pcover_graph::examples::figure1;
-use pcover_graph::io::{binary, csv, json, LoadOptions};
-
-fn tmpfile(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join("pcover-fuzz");
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(format!("{tag}-{}", std::process::id()))
-}
+use pcover_graph::io::{csv, json, LoadOptions};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
-
-    #[test]
-    fn binary_reader_never_panics_on_garbage(bytes in proptest::collection::vec(any::<u8>(), 0..512)) {
-        let path = tmpfile("garbage.pcg");
-        std::fs::write(&path, &bytes).unwrap();
-        // Any outcome but a panic is fine; garbage essentially never forms
-        // a valid checksummed file.
-        let _ = binary::read_binary(&path, &LoadOptions::default());
-    }
-
-    #[test]
-    fn binary_reader_never_panics_on_mutations(pos in 0usize..200, flip in 1u8..=255) {
-        let path = tmpfile("mutated.pcg");
-        binary::write_binary(&figure1(), &path).unwrap();
-        let mut bytes = std::fs::read(&path).unwrap();
-        let idx = pos % bytes.len();
-        bytes[idx] ^= flip;
-        std::fs::write(&path, &bytes).unwrap();
-        if let Ok(g) = binary::read_binary(&path, &LoadOptions::default()) {
-            // A mutation that still parses must have hit a byte the format
-            // ignores — impossible here (everything is checksummed), so a
-            // success must reproduce the original graph... which can only
-            // happen if the flip cancelled itself. Reaching this branch at
-            // all with a real mutation would be a checksum bug.
-            prop_assert_eq!(g, figure1());
-        }
-    }
 
     #[test]
     fn json_reader_never_panics_on_garbage(s in "\\PC{0,200}") {

@@ -5,7 +5,7 @@ use std::collections::HashMap;
 use proptest::prelude::*;
 
 use pcover_graph::delta::{apply, Change, GraphDelta};
-use pcover_graph::io::{binary, csv, json, LoadOptions};
+use pcover_graph::io::{csv, json, LoadOptions};
 use pcover_graph::reduction::{npc_to_vck, vck_to_npc};
 use pcover_graph::transform::{
     complete_with_self_loops, induced_subgraph, reverse, transitive_closure, PathCombination,
@@ -213,17 +213,6 @@ proptest! {
     fn json_roundtrip(g in arb_graph(12)) {
         let s = json::to_json_string(&g);
         let back = json::from_json_str(&s, &LoadOptions::default()).unwrap();
-        prop_assert_eq!(back, g);
-    }
-
-    #[test]
-    fn binary_roundtrip(g in arb_graph(12)) {
-        let dir = std::env::temp_dir().join("pcover-prop-bin");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("g-{}.pcg", std::process::id()));
-        binary::write_binary(&g, &path).unwrap();
-        let back = binary::read_binary(&path, &LoadOptions::default()).unwrap();
-        std::fs::remove_file(&path).ok();
         prop_assert_eq!(back, g);
     }
 

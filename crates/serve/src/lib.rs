@@ -16,24 +16,20 @@
 //!   atomic hot-swap; `POST /admin/delta` applies a
 //!   [`pcover_graph::delta::GraphDelta`] and publishes the next generation
 //!   without disturbing in-flight queries.
-//! * [`cache::SolveCache`] — LRU cache of solve reports keyed by
-//!   `(generation, solver, variant, k, config fingerprint)` with
-//!   trajectory reuse: one budget-`k` greedy-family report answers every
-//!   `k' ≤ k` query and every `/minimize` threshold (paper §3.2). On a
-//!   bitwise-identity swap (empty touched frontier) entries migrate to the
-//!   new generation instead of being dropped.
-//! * [`cache::WarmStore`] — warm solver states keyed by
-//!   `(solver, variant, fingerprint)` lineage *across* generations: on a
-//!   swap, warm-capable entries of the superseded generation are harvested
-//!   into [`pcover_core::WarmState`]s and the next query repairs one via
-//!   [`pcover_core::SolverSpec::solve_warm`] instead of solving cold
-//!   (bit-identical answer, `O(touched)` round-0 work; DESIGN §9.1).
-//! * [`flight::SingleFlight`] — single-flight request coalescing: N
-//!   concurrent identical solve requests (same `SolveCache` key and
-//!   deadline class) collapse into one solver run; the leader publishes
-//!   and every parked follower receives the same `Arc`'d report. Built on
-//!   the same `crate::sync` loom shim as the queue and model-checked in
-//!   `tests/loom.rs`.
+//! * [`memo::Memo`] — the serve memo: one table keyed by lineage
+//!   (registry solver, variant, config fingerprint) holding each
+//!   lineage's ready reports by `(generation, k)`, its running solves by
+//!   `(generation, k, deadline)`, and its warm state, behind one lock on
+//!   the `crate::sync` loom shim. One budget-`k` greedy-family report
+//!   answers every `k' ≤ k` query and every `/minimize` threshold (paper
+//!   §3.2); N concurrent identical requests collapse into one solver run
+//!   whose leader publishes to every parked follower; and after a swap
+//!   the next leader repairs the lineage's harvested
+//!   [`pcover_core::WarmState`] via [`pcover_core::SolverSpec::solve_warm`]
+//!   instead of solving cold (bit-identical answer, `O(touched)` round-0
+//!   work; DESIGN §9.1). Lookup and flight registration share the lock,
+//!   so a request can never lead a second solve of an answer being
+//!   published. Model-checked in `tests/loom.rs`.
 //! * [`queue::WorkQueue`] — the bounded MPMC work queue behind the load
 //!   shedder, extracted so the `--cfg loom` model tests (`tests/loom.rs`)
 //!   can exhaustively check its shed/drain/shutdown interleavings.
@@ -73,19 +69,17 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod cache;
-pub mod flight;
 pub mod http;
 pub mod loadgen;
+pub mod memo;
 pub mod metrics;
 pub mod queue;
 pub mod server;
 pub mod snapshot;
 mod sync;
 
-pub use cache::{CacheOutcome, SolveCache, WarmKey, WarmStore};
-pub use flight::{Flight, FlightLeader, SingleFlight};
 pub use loadgen::{LatencyRecorder, LoadClient, PhaseSummary, PlannedRequest};
+pub use memo::{CacheOutcome, Memo};
 pub use queue::WorkQueue;
 pub use server::{DeadlineObserver, Server, ServerConfig, ServerHandle};
 pub use snapshot::{Snapshot, SnapshotManager, SwapReceipt};

@@ -1,6 +1,6 @@
 //! The server: accept loop, bounded work queue with load shedding, worker
-//! pool, keep-alive request loop, single-flight solve coalescing, request
-//! routing, and graceful shutdown.
+//! pool, keep-alive request loop, request routing through the serve memo,
+//! and graceful shutdown.
 //!
 //! Shape: one acceptor thread pushes connections into a bounded
 //! [`WorkQueue`]; `workers` threads pop a connection each and serve it
@@ -12,16 +12,17 @@
 //! per-worker buffer and request bytes land in a per-worker
 //! [`ConnBuffer`], both reused across connections.
 //!
-//! Concurrent identical solves coalesce through a [`SingleFlight`]
-//! table: the first arrival computes, the rest park and share the one
-//! result (`coalesced_hits` in `/metrics`) — a cache stampede costs one
-//! solve instead of N.
+//! Every solve goes through the [`Memo`]: ready reports answer exact and
+//! prefix hits, concurrent identical solves coalesce (the first arrival
+//! computes, the rest park and share the one result — `coalesced_hits` in
+//! `/metrics`), and the leader repairs a warm state when the lineage has
+//! one.
 //!
 //! When the queue is full the *acceptor* answers 503 immediately —
 //! shedding costs a constant amount of work no matter how slow the
 //! solvers are. Shutdown (via [`ServerHandle::shutdown`] or
 //! `POST /admin/shutdown`) flips a flag, closes the queue and the
-//! in-flight table, and drains: already-queued requests are still
+//! memo, and drains: already-queued requests are still
 //! answered, new ones get 503.
 //! Everything is in-band `std::net` — the workspace forbids `unsafe`, so
 //! there is no signal handler; process managers should use the admin
@@ -34,16 +35,17 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use pcover_core::{Observer, Registry, SolveCtx, SolveError, SolveReport, SolverConfig, Variant};
+use pcover_core::{
+    Observer, Registry, SolveCtx, SolveError, SolveReport, SolverConfig, SolverSpec, Variant,
+};
 use pcover_graph::delta::GraphDelta;
 use pcover_graph::PreferenceGraph;
 
-use crate::cache::{fingerprint, CacheKey, CacheOutcome, SolveCache, WarmKey, WarmStore};
-use crate::flight::{Flight, SingleFlight};
 use crate::http::{write_json, write_response, ConnBuffer, HttpError, Request, Status};
+use crate::memo::{is_prefix_reusable, CacheOutcome, Lineage, Lookup, Memo};
 use crate::metrics::Metrics;
 use crate::queue::WorkQueue;
-use crate::snapshot::{Snapshot, SnapshotManager};
+use crate::snapshot::SnapshotManager;
 
 /// Tunables for [`Server::start`].
 #[derive(Clone, Debug)]
@@ -54,7 +56,8 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Bounded queue capacity; connections beyond it are shed with 503.
     pub queue_capacity: usize,
-    /// Solve-cache capacity in reports (0 disables caching).
+    /// Memo capacity: at most this many cached reports and this many warm
+    /// lineages (0 disables both).
     pub cache_capacity: usize,
     /// Default per-request wall-clock deadline; `None` means no deadline
     /// unless the request carries `deadline_ms`.
@@ -90,26 +93,12 @@ impl Default for ServerConfig {
 struct AppState {
     registry: Registry,
     snapshots: SnapshotManager,
-    cache: SolveCache,
-    warm: WarmStore,
-    flight: SingleFlight<FlightKey, FlightResult>,
+    memo: Memo,
     metrics: Metrics,
     queue: WorkQueue<TcpStream>,
     shutdown: AtomicBool,
     config: ServerConfig,
     local_addr: SocketAddr,
-}
-
-/// What one solve's leader publishes to its coalesced followers.
-type FlightResult = Result<Arc<SolveReport>, (Status, String)>;
-
-/// Single-flight identity: the cache key plus the effective deadline, so
-/// a tight-deadline request never receives (or delays behind) a
-/// no-deadline solve for the same answer.
-#[derive(Clone, PartialEq, Eq, Hash)]
-struct FlightKey {
-    key: CacheKey,
-    deadline_ms: Option<u64>,
 }
 
 /// A running server; dropping the handle does **not** stop it — call
@@ -152,9 +141,7 @@ impl Server {
         let state = Arc::new(AppState {
             registry: Registry::builtin(),
             snapshots: SnapshotManager::new(graph),
-            cache: SolveCache::new(config.cache_capacity),
-            warm: WarmStore::new(config.cache_capacity),
-            flight: SingleFlight::new(),
+            memo: Memo::new(config.cache_capacity),
             metrics: Metrics::default(),
             queue: WorkQueue::new(config.queue_capacity),
             shutdown: AtomicBool::new(false),
@@ -242,16 +229,16 @@ impl ServerHandle {
     }
 }
 
-/// Flips the shutdown flag, closes the queue and the in-flight table, and
-/// pokes the acceptor loose with a throwaway connection to its own socket.
+/// Flips the shutdown flag, closes the queue and the memo, and pokes the
+/// acceptor loose with a throwaway connection to its own socket.
 fn request_shutdown(state: &AppState) {
     if state.shutdown.swap(true, Ordering::SeqCst) {
         return;
     }
     state.queue.close();
-    // Parked single-flight waiters wake and solve for themselves, so the
-    // drain cannot strand a request behind a leader that never returns.
-    state.flight.close();
+    // Parked memo waiters wake and solve for themselves, so the drain
+    // cannot strand a request behind a leader that never returns.
+    state.memo.close();
     // Unblock the acceptor's blocking `accept` — a connect that may
     // legitimately fail if the acceptor already exited.
     let _ = TcpStream::connect_timeout(&state.local_addr, Duration::from_millis(250));
@@ -390,10 +377,11 @@ fn route(
             let _ = writeln!(text, "snapshot_generation {}", state.snapshots.generation());
             let _ = writeln!(text, "queue_depth {}", state.queue.depth());
             let _ = writeln!(text, "queue_capacity {}", state.config.queue_capacity);
-            let _ = writeln!(text, "cache_entries {}", state.cache.len());
-            let _ = writeln!(text, "cache_evictions {}", state.cache.evictions());
-            let _ = writeln!(text, "warm_states {}", state.warm.len());
-            let _ = writeln!(text, "inflight_solves {}", state.flight.len());
+            let memo = state.memo.stats();
+            let _ = writeln!(text, "cache_entries {}", memo.reports);
+            let _ = writeln!(text, "cache_evictions {}", memo.evictions);
+            let _ = writeln!(text, "warm_states {}", memo.warm_states);
+            let _ = writeln!(text, "inflight_solves {}", memo.in_flight);
             let _ = writeln!(text, "workers {}", state.config.workers);
             let _ = write_response(
                 stream,
@@ -506,21 +494,24 @@ enum SolveMode {
     CoverOnly,
 }
 
-struct SolveParams {
-    solver: String,
+struct SolveParams<'r> {
+    spec: &'r SolverSpec,
     variant: Variant,
     config: SolverConfig,
     deadline: Option<Duration>,
 }
 
-fn parse_common(req: &Request, state: &AppState) -> Result<SolveParams, (Status, String)> {
-    let solver = req.param("algorithm").unwrap_or("lazy").to_owned();
-    if state.registry.get(&solver).is_none() {
-        return Err((
+fn parse_common<'r>(
+    req: &Request,
+    state: &'r AppState,
+) -> Result<SolveParams<'r>, (Status, String)> {
+    let solver = req.param("algorithm").unwrap_or("lazy");
+    let spec = state.registry.get(solver).ok_or_else(|| {
+        (
             Status::BadRequest,
-            state.registry.unknown_algorithm_message(&solver),
-        ));
-    }
+            state.registry.unknown_algorithm_message(solver),
+        )
+    })?;
     let variant = match req.param("variant") {
         None => Variant::Normalized,
         Some(s) => Variant::parse(s)
@@ -553,186 +544,90 @@ fn parse_common(req: &Request, state: &AppState) -> Result<SolveParams, (Status,
         None => state.config.default_deadline,
     };
     Ok(SolveParams {
-        solver,
+        spec,
         variant,
         config,
         deadline,
     })
 }
 
-/// Runs (or cache-serves) one solve against the current snapshot. Returns
-/// the usable report, the generation it belongs to, and how the cache
-/// answered. The snapshot `Arc` is held for the whole solve, so a swap
+/// Answers one solve against the current snapshot through the [`Memo`].
+/// Returns the usable report, the generation it belongs to, and how it was
+/// obtained. The snapshot `Arc` is held for the whole solve, so a swap
 /// mid-solve cannot mix generations.
 ///
-/// On a cache miss the request enters the [`SingleFlight`] table: the
-/// first arrival for a `(cache key, deadline)` pair solves (warm or
-/// cold, below) and publishes; concurrent arrivals park and receive the
-/// published result as [`CacheOutcome::Coalesced`] — N racing identical
-/// requests cost 1 solve, not N.
-fn cached_solve(
+/// A ready report answers at once (exact or prefix hit), and a running
+/// solve of the same `(generation, k, deadline)` key is joined (N racing
+/// identical requests cost 1 solve, not N). Otherwise this request leads:
+/// it repairs the lineage's warm state when there is one — strictly fewer
+/// gain recomputations, bit-identical answer; any repair error other than
+/// a deadline falls back to the cold solve — and publishes the result to
+/// the memo and every parked follower.
+fn memo_solve(
     state: &AppState,
-    params: &SolveParams,
+    params: &SolveParams<'_>,
     k: usize,
 ) -> Result<(Arc<SolveReport>, u64, CacheOutcome), (Status, String)> {
     let snapshot = state.snapshots.current();
-    let key = CacheKey {
-        generation: snapshot.generation,
-        solver: params.solver.clone(),
-        variant: params.variant,
-        k,
-        fingerprint: fingerprint(&params.config),
-    };
-    let (cached, outcome) = state.cache.lookup(&key);
-    if let Some(report) = cached {
-        match outcome {
-            CacheOutcome::Exact => {
-                state.metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
-            }
-            CacheOutcome::Prefix => {
-                state
-                    .metrics
-                    .cache_prefix_hits
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            CacheOutcome::Warm | CacheOutcome::Miss | CacheOutcome::Coalesced => {}
+    let generation = snapshot.generation;
+    let lineage = Lineage::new(params.spec, params.variant, &params.config);
+    let deadline_ms = params
+        .deadline
+        .map(|d| u64::try_from(d.as_millis()).unwrap_or(u64::MAX));
+    let leader = match state.memo.begin(&lineage, generation, k, deadline_ms) {
+        Lookup::Ready(report, outcome) => {
+            let counter = match outcome {
+                CacheOutcome::Prefix => &state.metrics.cache_prefix_hits,
+                _ => &state.metrics.cache_hits,
+            };
+            counter.fetch_add(1, Ordering::Relaxed);
+            return Ok((report, generation, outcome));
         }
-        return Ok((report, snapshot.generation, outcome));
-    }
-
-    let flight_key = FlightKey {
-        key: key.clone(),
-        deadline_ms: params
-            .deadline
-            .map(|d| u64::try_from(d.as_millis()).unwrap_or(u64::MAX)),
-    };
-    match state.flight.begin(flight_key) {
-        Flight::Joined(result) => {
+        Lookup::Joined(result) => {
             state.metrics.coalesced_hits.fetch_add(1, Ordering::Relaxed);
-            result.map(|report| (report, snapshot.generation, CacheOutcome::Coalesced))
+            return result.map(|report| (report, generation, CacheOutcome::Coalesced));
         }
-        Flight::Leader(token) => {
-            let solved = solve_uncached(state, params, k, &snapshot, key);
-            token.publish(
-                solved
-                    .as_ref()
-                    .map(|(report, _)| Arc::clone(report))
-                    .map_err(Clone::clone),
-            );
-            solved.map(|(report, outcome)| (report, snapshot.generation, outcome))
-        }
-        // Table closed (shutdown drain) or the previous leader panicked:
-        // solve independently rather than hang or propagate.
-        Flight::Bypass => solve_uncached(state, params, k, &snapshot, key)
-            .map(|(report, outcome)| (report, snapshot.generation, outcome)),
-    }
-}
+        Lookup::Leader(leader) => leader,
+    };
 
-/// The warm-or-cold solve behind [`cached_solve`], run by single-flight
-/// leaders (and bypassers): repairs a harvested warm state when the
-/// solver supports it, otherwise solves cold; inserts the answer into the
-/// cache either way.
-fn solve_uncached(
-    state: &AppState,
-    params: &SolveParams,
-    k: usize,
-    snapshot: &Arc<Snapshot>,
-    key: CacheKey,
-) -> Result<(Arc<SolveReport>, CacheOutcome), (Status, String)> {
-    let spec = state
-        .registry
-        .get(&params.solver)
-        .ok_or_else(|| (Status::Internal, "solver vanished from registry".to_owned()))?;
-
-    // Warm path: a previous generation's state for this lineage, repaired
-    // against the current snapshot through the registry spec — strictly
-    // fewer gain recomputations, bit-identical answer. Any repair error
-    // other than a deadline falls back to the cold path below.
-    if spec.supports_warm_start() {
-        let warm_key = WarmKey {
-            solver: params.solver.clone(),
-            variant: params.variant,
-            fingerprint: key.fingerprint,
-        };
-        if let Some((warm_state, touched)) = state.warm.lookup(&warm_key, snapshot.generation) {
-            if warm_state.accepts(params.variant, &snapshot.graph) {
-                let result = match params.deadline {
-                    Some(deadline) => {
-                        let mut observer = DeadlineObserver::new(Instant::now() + deadline);
-                        let mut ctx = SolveCtx::with_observer(params.config, &mut observer);
-                        spec.solve_warm(
-                            params.variant,
-                            &snapshot.graph,
-                            k,
-                            &touched,
-                            &warm_state,
-                            &mut ctx,
-                        )
-                    }
-                    None => {
-                        let mut ctx = SolveCtx::new(params.config);
-                        spec.solve_warm(
-                            params.variant,
-                            &snapshot.graph,
-                            k,
-                            &touched,
-                            &warm_state,
-                            &mut ctx,
-                        )
-                    }
-                };
-                match result {
-                    Ok(warm) => {
-                        state
-                            .metrics
-                            .warm_start_hits
-                            .fetch_add(1, Ordering::Relaxed);
-                        state
-                            .metrics
-                            .warm_rounds_reused
-                            .fetch_add(warm.rounds_reused as u64, Ordering::Relaxed);
-                        state
-                            .metrics
-                            .warm_rounds_repaired
-                            .fetch_add(warm.rounds_repaired as u64, Ordering::Relaxed);
-                        let report = Arc::new(warm.report);
-                        state.cache.insert(key, Arc::clone(&report));
-                        return Ok((report, CacheOutcome::Warm));
-                    }
-                    Err(SolveError::Cancelled) => {
-                        state
-                            .metrics
-                            .deadline_cancelled_total
-                            .fetch_add(1, Ordering::Relaxed);
-                        return Err((
-                            Status::DeadlineExceeded,
-                            format!("deadline exceeded after {:?}", params.deadline),
-                        ));
-                    }
-                    Err(_) => {}
-                }
-            }
+    let graph = &snapshot.graph;
+    let mut observer = params
+        .deadline
+        .map(|deadline| DeadlineObserver::new(Instant::now() + deadline));
+    let mut ctx = match observer.as_mut() {
+        Some(observer) => SolveCtx::with_observer(params.config, observer),
+        None => SolveCtx::new(params.config),
+    };
+    let repaired = leader
+        .warm()
+        .filter(|(warm, _)| warm.accepts(params.variant, graph))
+        .map(|(warm, touched)| {
+            params
+                .spec
+                .solve_warm(params.variant, graph, k, touched, warm, &mut ctx)
+        });
+    let solved = match repaired {
+        Some(Ok(warm)) => {
+            let m = &state.metrics;
+            m.warm_start_hits.fetch_add(1, Ordering::Relaxed);
+            m.warm_rounds_reused
+                .fetch_add(warm.rounds_reused as u64, Ordering::Relaxed);
+            m.warm_rounds_repaired
+                .fetch_add(warm.rounds_repaired as u64, Ordering::Relaxed);
+            Ok((warm.report, CacheOutcome::Warm))
         }
-    }
-
-    state.metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
-    let result = match params.deadline {
-        Some(deadline) => {
-            let mut observer = DeadlineObserver::new(Instant::now() + deadline);
-            let mut ctx = SolveCtx::with_observer(params.config, &mut observer);
-            spec.solve(params.variant, &snapshot.graph, k, &mut ctx)
-        }
-        None => {
-            let mut ctx = SolveCtx::new(params.config);
-            spec.solve(params.variant, &snapshot.graph, k, &mut ctx)
+        Some(Err(SolveError::Cancelled)) => Err(SolveError::Cancelled),
+        // No usable warm state, or a repair error other than the deadline.
+        _ => {
+            state.metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
+            params
+                .spec
+                .solve(params.variant, graph, k, &mut ctx)
+                .map(|report| (report, CacheOutcome::Miss))
         }
     };
-    match result {
-        Ok(report) => {
-            let report = Arc::new(report);
-            state.cache.insert(key, Arc::clone(&report));
-            Ok((report, CacheOutcome::Miss))
-        }
+    let solved = match solved {
+        Ok((report, outcome)) => Ok((Arc::new(report), outcome)),
         Err(SolveError::Cancelled) => {
             state
                 .metrics
@@ -744,7 +639,14 @@ fn solve_uncached(
             ))
         }
         Err(e) => Err((Status::BadRequest, e.to_string())),
-    }
+    };
+    leader.publish(
+        solved
+            .as_ref()
+            .map(|(report, _)| Arc::clone(report))
+            .map_err(Clone::clone),
+    );
+    solved.map(|(report, outcome)| (report, generation, outcome))
 }
 
 fn solve_endpoint(
@@ -764,7 +666,7 @@ fn solve_endpoint(
             ))
         }
     };
-    let (report, generation, outcome) = cached_solve(state, &params, k)?;
+    let (report, generation, outcome) = memo_solve(state, &params, k)?;
     // A prefix donor has a larger budget; read the k-answer off its
     // trajectory (§3.2 incremental property).
     let (order, cover) = if report.k() == k {
@@ -783,7 +685,7 @@ fn solve_endpoint(
     let _ = write!(
         body,
         "{{\"generation\":{generation},\"algorithm\":\"{}\",\"variant\":\"{}\",\"k\":{k},\"cover\":",
-        params.solver,
+        params.spec.name,
         params.variant.name(),
     );
     push_f64(&mut body, cover);
@@ -831,20 +733,20 @@ fn minimize_endpoint(req: &Request, state: &AppState) -> Result<String, (Status,
             format!("threshold {threshold} is not a probability in [0, 1]"),
         ));
     }
-    if !crate::cache::is_prefix_reusable(&params.solver) {
+    if !is_prefix_reusable(params.spec.name) {
         return Err((
             Status::BadRequest,
             format!(
                 "algorithm '{}' has no incremental trajectory; minimize supports \
                  greedy-family solvers (e.g. lazy, greedy, parallel)",
-                params.solver
+                params.spec.name
             ),
         ));
     }
     // One full-budget solve answers every threshold — and seeds the cache
     // for all subsequent /solve and /cover calls at any k.
     let n = state.snapshots.current().graph.node_count();
-    let (report, generation, outcome) = cached_solve(state, &params, n)?;
+    let (report, generation, outcome) = memo_solve(state, &params, n)?;
     let Some(k_min) = report.smallest_prefix_reaching(threshold) else {
         return Err((
             Status::BadRequest,
@@ -864,7 +766,7 @@ fn minimize_endpoint(req: &Request, state: &AppState) -> Result<String, (Status,
     let _ = write!(
         body,
         "{{\"generation\":{generation},\"algorithm\":\"{}\",\"variant\":\"{}\",\"threshold\":",
-        params.solver,
+        params.spec.name,
         params.variant.name(),
     );
     push_f64(&mut body, threshold);
@@ -889,35 +791,14 @@ fn delta_endpoint(req: &Request, state: &AppState) -> Result<String, (Status, St
         .map_err(|e| (Status::BadRequest, format!("delta rejected: {e}")))?;
     let generation = receipt.new.generation;
     let touched = delta.touched_nodes(&receipt.old.graph);
-
-    // An empty touched frontier means the swap was a bitwise identity:
-    // every cached answer is still valid and migrates to the new
-    // generation instead of being dropped.
-    if touched.is_empty() {
-        let survived = state
-            .cache
-            .migrate_generation(receipt.old.generation, generation);
-        state
-            .metrics
-            .cache_survived_swap
-            .fetch_add(survived, Ordering::Relaxed);
-    }
-    // Harvest warm states from the superseded generation's warm-capable
-    // entries (their orders + the old graph's round-0 gains), then record
-    // the swap in the warm store — its generation guard keeps racing
-    // bookkeeping sound.
-    let fresh = state
-        .cache
-        .harvest_warm(receipt.old.generation, &receipt.old.graph, |name| {
-            state
-                .registry
-                .get(name)
-                .is_some_and(|spec| spec.supports_warm_start())
-        });
+    // One memo call: carry the cached answers across a bitwise-identity
+    // swap, harvest warm states from the superseded generation, and drop
+    // its reports (see `Memo::record_swap`).
+    let survived = state.memo.record_swap(&receipt.old, generation, &touched);
     state
-        .warm
-        .apply_swap(receipt.old.generation, generation, &touched, fresh);
-    state.cache.retain_generation(generation);
+        .metrics
+        .cache_survived_swap
+        .fetch_add(survived, Ordering::Relaxed);
     state
         .metrics
         .delta_applied_total

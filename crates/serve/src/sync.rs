@@ -1,6 +1,6 @@
 //! Lock primitives behind a `--cfg loom` switch.
 //!
-//! Every blocking primitive in this crate (`queue`, `snapshot`, `cache`)
+//! Every blocking primitive in this crate (`queue`, `snapshot`, `memo`)
 //! imports `Mutex`/`Condvar`/`RwLock` from here instead of `std::sync`.
 //! A normal build re-exports `std`; a `RUSTFLAGS="--cfg loom"` build (the
 //! nightly model-checking CI job) swaps in the vendored `loom` stand-ins,

@@ -1,8 +1,9 @@
 //! Model-checked interleavings of the serve sync primitives.
 //!
 //! Compiled only under `RUSTFLAGS="--cfg loom"` (the nightly CI job): the
-//! `crate::sync` shim then builds [`pcover_serve::queue::WorkQueue`] and
-//! [`pcover_serve::SnapshotManager`] on the vendored `loom` primitives,
+//! `crate::sync` shim then builds [`pcover_serve::queue::WorkQueue`],
+//! [`pcover_serve::SnapshotManager`] and the serve [`Memo`] on the
+//! vendored `loom` primitives,
 //! and [`loom::model`] explores every schedule of the threads below (DFS
 //! with bounded preemption), failing with a repro schedule on any
 //! assertion failure, deadlock, or lost wakeup.
@@ -15,10 +16,13 @@
 use loom::sync::Arc;
 use loom::thread;
 
+use pcover_core::{Algorithm, Registry, SolveReport, SolverConfig, Variant};
 use pcover_graph::delta::{Change, GraphDelta};
 use pcover_graph::examples::figure1_ids;
+use pcover_graph::ItemId;
+use pcover_serve::memo::{Lineage, Lookup, Memo};
 use pcover_serve::queue::WorkQueue;
-use pcover_serve::{Flight, SingleFlight, SnapshotManager};
+use pcover_serve::SnapshotManager;
 
 /// Shed/drain/shutdown: one producer pushing past capacity, one draining
 /// worker, close racing both. Every accepted item must be popped exactly
@@ -119,110 +123,183 @@ fn concurrent_deltas_serialize_into_distinct_generations() {
     });
 }
 
-/// Single-flight coalescing: with a leader computing key 0, two racing
-/// followers must each either join the leader's published value or — if
-/// the schedule lands them after the flight drained — lead a fresh flight
-/// of their own. Never a double-solve *during* the leader's flight (a
-/// follower can only lead once the slot is gone), never a lost wakeup (a
-/// parked follower that misses its `notify_all` shows up as a modeled
-/// deadlock), and the table always drains to empty.
+/// The lazy-greedy lineage every memo model below asks for.
+fn lineage() -> Lineage {
+    let registry = Registry::builtin();
+    let spec = registry.get("lazy").expect("lazy is registered");
+    Lineage::new(spec, Variant::Normalized, &SolverConfig::default())
+}
+
+/// A budget-3 report tagged with `mark` (as its evaluation count), so a
+/// model can tell which leader's publish a value came from.
+fn report(mark: u64) -> std::sync::Arc<SolveReport> {
+    std::sync::Arc::new(SolveReport {
+        algorithm: Algorithm::LazyGreedy,
+        variant: Variant::Normalized,
+        order: (0..3).map(ItemId::from_index).collect(),
+        trajectory: vec![0.25, 0.5, 0.75],
+        cover: 0.75,
+        item_cover: vec![],
+        elapsed: std::time::Duration::ZERO,
+        gain_evaluations: mark,
+    })
+}
+
+/// The tag `report` was published with.
+fn mark(report: &SolveReport) -> u64 {
+    report.gain_evaluations
+}
+
+/// The race the one-table memo closes: two requests for one key at once.
+/// A request that finds no ready report registers with the running solves
+/// under the same guard, so it can never miss the report a leader is
+/// publishing and lead a second solve. Under every schedule exactly one
+/// thread leads; the other is answered `hit` (it came after the publish)
+/// or `coalesced` (it parked on the flight). Looking up and registering
+/// under two locks fails this: the lookup misses, the leader publishes
+/// with no waiters and removes its flight, and the late registration
+/// leads again.
+#[test]
+fn concurrent_requests_for_one_key_solve_once() {
+    loom::model(|| {
+        let memo = Arc::new(Memo::new(8));
+        let ask = |memo: &Memo| match memo.begin(&lineage(), 1, 3, None) {
+            Lookup::Ready(_, outcome) => outcome.as_str(),
+            Lookup::Joined(_) => "coalesced",
+            Lookup::Leader(leader) => {
+                leader.publish(Ok(report(1)));
+                "leader"
+            }
+        };
+        let other = {
+            let memo = Arc::clone(&memo);
+            thread::spawn(move || ask(&memo))
+        };
+        let mine = ask(&memo);
+        let theirs = other.join().expect("other request");
+        let mut outcomes = [mine, theirs];
+        outcomes.sort_unstable();
+        assert!(
+            outcomes == ["coalesced", "leader"] || outcomes == ["hit", "leader"],
+            "exactly one leader, the other hit or coalesced: {outcomes:?}"
+        );
+        assert_eq!(memo.stats().in_flight, 0, "flights drain to empty");
+        assert_eq!(memo.stats().reports, 1);
+    });
+}
+
+/// Coalescing: with a leader solving key k=3, two racing followers must
+/// each either join the leader's published value or — if the schedule
+/// lands them after the flight drained — lead a fresh flight of their own
+/// (the memo stores nothing at capacity 0, so there is no report to hit).
+/// Never a double-solve *during* the leader's flight, never a lost wakeup
+/// (a parked follower that misses its `notify_all` shows up as a modeled
+/// deadlock), and the flights always drain to empty.
 #[test]
 fn coalesced_followers_join_or_lead_fresh_never_hang() {
     loom::model(|| {
-        let table: Arc<SingleFlight<u32, u32>> = Arc::new(SingleFlight::new());
-        let Flight::Leader(token) = table.begin(0) else {
+        let memo = Arc::new(Memo::new(0));
+        let Lookup::Leader(leader) = memo.begin(&lineage(), 1, 3, None) else {
             panic!("first arrival must lead");
         };
         let followers: Vec<_> = (0..2)
             .map(|_| {
-                let table = Arc::clone(&table);
-                thread::spawn(move || match table.begin(0) {
-                    Flight::Joined(v) => v,
-                    Flight::Leader(t) => {
+                let memo = Arc::clone(&memo);
+                thread::spawn(move || match memo.begin(&lineage(), 1, 3, None) {
+                    Lookup::Joined(result) => mark(&result.expect("published")),
+                    Lookup::Leader(fresh) => {
                         // Arrived after the first flight drained entirely.
-                        t.publish(99);
+                        fresh.publish(Ok(report(99)));
                         99
                     }
-                    Flight::Bypass => panic!("open table never bypasses"),
+                    Lookup::Ready(..) => panic!("a capacity-0 memo stores nothing"),
                 })
             })
             .collect();
-        token.publish(42);
+        leader.publish(Ok(report(42)));
         for f in followers {
             let v = f.join().expect("follower");
             assert!(v == 42 || v == 99, "value must come from a real publish");
         }
-        assert!(table.is_empty(), "table must drain under every schedule");
+        assert_eq!(
+            memo.stats().in_flight,
+            0,
+            "flights drain under every schedule"
+        );
     });
 }
 
 /// Leader abort: if the leader's token drops without publishing (solver
-/// panic), a racing follower must wake and fall back to computing itself
-/// — `Bypass` if it parked, or `Leader` of a fresh flight if it arrived
+/// panic), a racing follower must wake and solve itself — as a leader
+/// outside coalescing if it parked, or of a fresh flight if it arrived
 /// after the abort drained. It must never receive a value and never hang.
 #[test]
 fn aborted_leader_releases_every_waiter() {
     loom::model(|| {
-        let table: Arc<SingleFlight<u32, u32>> = Arc::new(SingleFlight::new());
-        let Flight::Leader(token) = table.begin(0) else {
+        let memo = Arc::new(Memo::new(8));
+        let Lookup::Leader(leader) = memo.begin(&lineage(), 1, 3, None) else {
             panic!("leader");
         };
         let follower = {
-            let table = Arc::clone(&table);
-            thread::spawn(move || match table.begin(0) {
-                Flight::Bypass => true,
-                Flight::Leader(t) => {
-                    t.publish(1);
+            let memo = Arc::clone(&memo);
+            thread::spawn(move || match memo.begin(&lineage(), 1, 3, None) {
+                Lookup::Leader(own) => {
+                    own.publish(Ok(report(1)));
                     true
                 }
-                Flight::Joined(_) => false,
+                Lookup::Joined(_) | Lookup::Ready(..) => false,
             })
         };
-        drop(token); // abort without publishing
+        drop(leader); // abort without publishing
         assert!(
             follower.join().expect("follower"),
             "an aborted flight must never hand out a value"
         );
-        assert!(table.is_empty());
+        assert_eq!(memo.stats().in_flight, 0);
     });
 }
 
 /// Shutdown racing a parked waiter: `close()` may land before the waiter
 /// registers, while it is parked, or after the leader published. In every
-/// schedule the waiter must resolve — `Joined` with the published value or
-/// `Bypass` — and post-close arrivals always bypass.
+/// schedule the waiter must resolve — the published value (joined, or hit
+/// once stored) or leadership outside coalescing — and post-close
+/// arrivals never register a flight.
 #[test]
 fn close_races_a_parked_waiter_without_stranding_it() {
     loom::model(|| {
-        let table: Arc<SingleFlight<u32, u32>> = Arc::new(SingleFlight::new());
-        let Flight::Leader(token) = table.begin(0) else {
+        let memo = Arc::new(Memo::new(8));
+        let Lookup::Leader(leader) = memo.begin(&lineage(), 1, 3, None) else {
             panic!("leader");
         };
         let waiter = {
-            let table = Arc::clone(&table);
-            thread::spawn(move || match table.begin(0) {
-                Flight::Joined(v) => v == 7,
-                Flight::Bypass => true,
-                // Post-drain arrival on a still-open table.
-                Flight::Leader(t) => {
-                    t.publish(7);
+            let memo = Arc::clone(&memo);
+            thread::spawn(move || match memo.begin(&lineage(), 1, 3, None) {
+                Lookup::Joined(result) => mark(&result.expect("published")) == 7,
+                Lookup::Ready(report, _) => mark(&report) == 7,
+                Lookup::Leader(own) => {
+                    own.publish(Ok(report(7)));
                     true
                 }
             })
         };
         let closer = {
-            let table = Arc::clone(&table);
-            thread::spawn(move || table.close())
+            let memo = Arc::clone(&memo);
+            thread::spawn(move || memo.close())
         };
-        token.publish(7);
+        leader.publish(Ok(report(7)));
         assert!(
             waiter.join().expect("waiter"),
             "waiter must resolve cleanly"
         );
         closer.join().expect("closer");
-        assert!(
-            matches!(table.begin(1), Flight::Bypass),
-            "a closed table bypasses new arrivals"
+        let Lookup::Leader(late) = memo.begin(&lineage(), 1, 4, None) else {
+            panic!("no stored report covers k=4");
+        };
+        assert_eq!(
+            memo.stats().in_flight,
+            0,
+            "a closed memo registers no new flight"
         );
+        drop(late);
     });
 }

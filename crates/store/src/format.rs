@@ -428,8 +428,8 @@ fn header_checksum(encoded: &[u8]) -> u64 {
     h.finish()
 }
 
-/// Incremental FNV-1a 64-bit hasher — the same checksum the PCG1 binary
-/// edge-list format uses, chosen for zero dependencies and streaming use.
+/// Incremental FNV-1a 64-bit hasher, chosen for zero dependencies and
+/// streaming use (the serve memo's config fingerprint reuses it).
 #[derive(Clone, Debug)]
 pub struct Fnv1a(u64);
 

@@ -354,4 +354,28 @@ proptest! {
         }
         fs::remove_file(&path).ok();
     }
+
+    /// Arbitrary bytes — pure noise, or noise behind the container magic
+    /// so the header and section-table decoders see it — fail with a typed
+    /// error on every load path. They never panic.
+    #[test]
+    fn garbage_bytes_never_panic(
+        noise in proptest::collection::vec(any::<u8>(), 0..512),
+        behind_magic in any::<bool>(),
+    ) {
+        let path = scratch("prop-garbage");
+        let mut bytes = if behind_magic {
+            pcover_store::format::MAGIC.to_vec()
+        } else {
+            Vec::new()
+        };
+        bytes.extend_from_slice(&noise);
+        fs::write(&path, &bytes).expect("write garbage");
+        for mode in supported_modes() {
+            if let Err(e) = read_graph(&path, mode) {
+                let _ = e.to_string();
+            }
+        }
+        fs::remove_file(&path).ok();
+    }
 }

@@ -3,7 +3,8 @@
 
 #![allow(clippy::unwrap_used)] // integration tests: panicking on setup failure is the right behavior
 
-use preference_cover::graph::io::{binary, csv, json, LoadOptions};
+use pcover_store::{read_graph, write_graph, OpenMode, WriteOptions};
+use preference_cover::graph::io::{csv, json, LoadOptions};
 use preference_cover::prelude::*;
 
 fn tmpdir(name: &str) -> std::path::PathBuf {
@@ -29,16 +30,16 @@ fn solve_results_identical_across_formats() {
 
     let dir = tmpdir("formats");
     let json_path = dir.join("g.json");
-    let bin_path = dir.join("g.pcg");
+    let pcov_path = dir.join("g.pcov");
     let csv_dir = dir.join("csv");
     json::write_json(&g, &json_path).unwrap();
-    binary::write_binary(&g, &bin_path).unwrap();
+    write_graph(&g, &pcov_path, WriteOptions::default()).unwrap();
     csv::write_csv(&g, &csv_dir).unwrap();
 
     let opts = LoadOptions::default();
     for (label, loaded) in [
         ("json", json::read_json(&json_path, &opts).unwrap()),
-        ("binary", binary::read_binary(&bin_path, &opts).unwrap()),
+        ("pcov", read_graph(&pcov_path, OpenMode::Auto).unwrap().0),
         ("csv", csv::read_csv(&csv_dir, &opts).unwrap()),
     ] {
         assert_eq!(loaded, g, "{label} roundtrip changed the graph");
