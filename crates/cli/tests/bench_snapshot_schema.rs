@@ -1,12 +1,13 @@
 //! Round-trip guard for the committed bench snapshots: `BENCH_5.json`,
-//! `BENCH_7.json` and `BENCH_9.json` must parse against the
+//! `BENCH_7.json`, `BENCH_9.json` and `BENCH_15.json` must parse against the
 //! `pcover-bench-snapshot/1` schema *exactly* — a missing field or an
 //! unknown field fails, so the snapshot format cannot drift under the CI
 //! perf gate that diffs the files.
 //!
-//! `BENCH_9.json` is the `--grid large` container tier; its entries carry
-//! a fixed set of *optional* extras ([`LARGE_ENTRY_KEYS`]: load backend,
-//! load speedup, warm-delta bookkeeping) on top of the same required core.
+//! `BENCH_9.json` and `BENCH_15.json` are the `--grid large` container
+//! tier; their entries carry a fixed set of *optional* extras
+//! ([`LARGE_ENTRY_KEYS`]: load backend, load speedup, warm-delta
+//! bookkeeping) on top of the same required core.
 
 use std::path::PathBuf;
 
@@ -155,6 +156,7 @@ fn committed_snapshots_round_trip_strictly() {
         ("BENCH_5.json", validate as fn(&Value) -> Result<(), String>),
         ("BENCH_7.json", validate),
         ("BENCH_9.json", validate_large),
+        ("BENCH_15.json", validate_large),
     ] {
         let snapshot = committed(name);
         check(&snapshot).unwrap_or_else(|e| panic!("{name}: {e}"));
@@ -173,6 +175,7 @@ fn snapshot_pr_stamps_identify_the_files() {
         ("BENCH_5.json", 5),
         ("BENCH_7.json", 7),
         ("BENCH_9.json", 9),
+        ("BENCH_15.json", 15),
     ] {
         assert_eq!(
             committed(name).get("pr"),

@@ -18,19 +18,26 @@
 //! round, then `O(|dirty|)` per round instead of `O(n)` — on sparse graphs
 //! a per-round cost of roughly `D · d_out` rather than `n`.
 //!
+//! Selection reads the root of a tournament (winner) tree over the cached
+//! gains instead of scanning them: building it costs `O(n)` (round 0, or
+//! any refresh touching so many leaves that `|dirty| · log₂ n ≥ n`), and
+//! otherwise each refreshed leaf replays its `O(log n)` path to the root,
+//! so a later round costs `O(|dirty| · log n)` in all, not `O(n)`.
+//!
 //! A cached (clean) gain is **bit-identical** to what plain greedy would
 //! recompute — same `I`, same membership, same weights, same arithmetic —
-//! and selection goes through the audited
-//! [`float::improves_argmax`](crate::float::improves_argmax) tie-break, so
-//! the retained set, cover, and trajectory are bit-identical to
-//! [`greedy::solve`](crate::greedy::solve) for both IPC and NPC. The
-//! determinism grid asserts this.
+//! and every tournament is decided by the audited
+//! [`float::improves_argmax`](crate::float::improves_argmax) tie-break, a
+//! strict total order on `(gain, id)`, so the root is exactly the node a
+//! full scan would pick and the retained set, cover, and trajectory are
+//! bit-identical to [`greedy::solve`](crate::greedy::solve) for both IPC
+//! and NPC. The determinism grid asserts this.
 //!
 //! [`parallel_solve_with`] is the chunked variant: each round splits the
 //! dirty list into `threads` contiguous slices, recomputes gains on the
 //! shared pool (pure reads of the state; results are gathered slot-indexed
-//! and written back sequentially), and selects sequentially — bit-identical
-//! for every thread count.
+//! and written back sequentially), and settles the tree sequentially —
+//! bit-identical for every thread count.
 
 // lint: allow-file(no-index) — per-item arrays (I-values, selection masks, gains) are sized to
 // node_count and indexed by ItemId::index(); bounds-checked [] in the hot greedy
@@ -49,10 +56,21 @@ use crate::solver::{RoundStats, SolveCtx, Solver, SolverCaps, SolverSpec};
 use crate::variant::{CoverModel, Variant};
 use crate::{Independent, Normalized, SolveError};
 
+/// The empty tournament slot: a retained leaf, or a subtree of them.
+/// Node ids stay below `u32::MAX` (an `ItemId` is a `u32` index, so `n`
+/// would need `2³²` nodes to reach it).
+const EMPTY: ItemId = ItemId::new(u32::MAX);
+
 /// The cached-gain bookkeeping shared by the sequential and chunked
-/// variants: per-node gains, a dedup flag array, and the dirty work list.
+/// variants and the warm repair: per-node gains, a tournament tree over
+/// them, a dedup flag array, and the dirty work list.
 struct GainCache {
     gains: Vec<f64>,
+    /// The winner tree: leaf slot `n + v` holds `v` (or [`EMPTY`] once `v`
+    /// is retained), and each internal slot `s` in `1..n` holds the winner
+    /// of slots `2s` and `2s + 1`, so slot 1 is the argmax. Leaves of dirty
+    /// nodes may be out of date until [`Self::settle`].
+    tree: Vec<ItemId>,
     is_dirty: Vec<bool>,
     dirty: Vec<ItemId>,
     /// Per-slot result buffers for the chunked-parallel refresh, one per
@@ -64,15 +82,34 @@ struct GainCache {
 
 impl GainCache {
     /// Everything starts dirty: the first round is a full scan, exactly
-    /// like plain greedy's first round.
+    /// like plain greedy's first round, and builds the tree.
     fn new(g: &PreferenceGraph) -> Self {
         let n = g.node_count();
         GainCache {
             gains: vec![0.0; n],
+            tree: vec![EMPTY; 2 * n],
             is_dirty: vec![true; n],
             dirty: g.node_ids().collect(),
             scratch: Vec::new(),
         }
+    }
+
+    /// A clean cache over `gains` (every node live), tree built.
+    fn seeded(gains: Vec<f64>) -> Self {
+        let n = gains.len();
+        let mut tree = vec![EMPTY; 2 * n];
+        for (leaf, v) in tree[n..].iter_mut().zip(0..n) {
+            *leaf = ItemId::from_index(v);
+        }
+        let mut cache = GainCache {
+            gains,
+            tree,
+            is_dirty: vec![false; n],
+            dirty: Vec::new(),
+            scratch: Vec::new(),
+        };
+        cache.rebuild();
+        cache
     }
 
     /// Marks `x` dirty, once.
@@ -108,37 +145,82 @@ impl GainCache {
         }
     }
 
-    /// Sequentially recomputes every dirty gain, clearing the dirty set.
+    /// Sequentially recomputes every dirty gain, then settles the tree.
     /// Returns the number of gain evaluations performed (retained nodes are
     /// skipped and not counted, matching plain greedy's accounting).
     fn refresh<M: CoverModel>(&mut self, g: &PreferenceGraph, state: &CoverState) -> u64 {
         let mut evals = 0u64;
         for &v in &self.dirty {
-            self.is_dirty[v.index()] = false;
-            if state.contains(v) {
-                continue;
+            if !state.contains(v) {
+                self.gains[v.index()] = state.gain::<M>(g, v);
+                evals += 1;
             }
-            self.gains[v.index()] = state.gain::<M>(g, v);
-            evals += 1;
         }
-        self.dirty.clear();
+        self.settle(state);
         evals
     }
 
-    /// The audited argmax over the cached gain array (no gain evaluations:
-    /// clean entries are bit-identical to a fresh recomputation).
-    fn select_best(&self, g: &PreferenceGraph, state: &CoverState) -> Option<(f64, ItemId)> {
-        let mut best: Option<(f64, ItemId)> = None;
-        for v in g.node_ids() {
-            if state.contains(v) {
-                continue;
-            }
-            let gain = self.gains[v.index()];
-            if crate::float::improves_argmax(gain, v, best) {
-                best = Some((gain, v));
+    /// Clears the dirty set once its gains are written: each dirty leaf
+    /// becomes its node again (or [`EMPTY`] once retained), then the tree
+    /// is rebuilt bottom-up when `|dirty| · log₂ n ≥ n` (`log₂` taken as at
+    /// least 1, so an all-dirty refresh always rebuilds), or else each
+    /// dirty leaf's path to the root is replayed.
+    fn settle(&mut self, state: &CoverState) {
+        let n = self.gains.len();
+        let rebuild = self.dirty.len() * n.max(2).ilog2() as usize >= n;
+        let mut dirty = std::mem::take(&mut self.dirty);
+        for &v in &dirty {
+            self.is_dirty[v.index()] = false;
+            let leaf = n + v.index();
+            self.tree[leaf] = if state.contains(v) { EMPTY } else { v };
+            if !rebuild {
+                let mut slot = leaf / 2;
+                while slot > 0 {
+                    self.tree[slot] = self.winner(2 * slot);
+                    slot /= 2;
+                }
             }
         }
-        best
+        if rebuild {
+            self.rebuild();
+        }
+        dirty.clear();
+        self.dirty = dirty;
+    }
+
+    /// Recomputes every internal slot, children before parents: `O(n)`.
+    fn rebuild(&mut self) {
+        for slot in (1..self.gains.len()).rev() {
+            self.tree[slot] = self.winner(2 * slot);
+        }
+    }
+
+    /// The winner of sibling slots `left` and `left + 1` under the audited
+    /// argmax order; an empty slot loses to any node.
+    fn winner(&self, left: usize) -> ItemId {
+        let (a, b) = (self.tree[left], self.tree[left + 1]);
+        if a == EMPTY {
+            return b;
+        }
+        if b == EMPTY {
+            return a;
+        }
+        let incumbent = Some((self.gains[a.index()], a));
+        if crate::float::improves_argmax(self.gains[b.index()], b, incumbent) {
+            b
+        } else {
+            a
+        }
+    }
+
+    /// The argmax over the non-retained cached gains, read off the root (no
+    /// gain evaluations: clean entries are bit-identical to a fresh
+    /// recomputation). Only meaningful right after a refresh.
+    fn best(&self) -> Option<(f64, ItemId)> {
+        self.tree
+            .get(1)
+            .filter(|&&v| v != EMPTY)
+            .map(|&v| (self.gains[v.index()], v))
     }
 }
 
@@ -190,7 +272,7 @@ pub fn solve_with<M: CoverModel>(
         ctx.check_cancelled()?;
         let round_evals = cache.refresh::<M>(g, &state);
         gain_evaluations += round_evals;
-        let Some((gain, chosen)) = cache.select_best(g, &state) else {
+        let Some((gain, chosen)) = cache.best() else {
             return Err(SolveError::internal(
                 "greedy round found no candidate despite k <= n",
             ));
@@ -263,14 +345,14 @@ pub fn parallel_solve_with<M: CoverModel>(
         // pool. The workers only *read* the state; each slice's results
         // land in that slice's reusable scratch slot (cleared, never
         // reallocated, across rounds), then are written back sequentially
-        // below (dirty entries are unique, so the writes are disjoint).
-        // Split borrows so the closure can read `dirty` while filling
-        // `scratch`.
+        // in slot order below (dirty entries are unique, so the writes are
+        // disjoint) before the tree settles. Split borrows so the closure
+        // can read `dirty` while filling `scratch`.
         let GainCache {
             gains,
-            is_dirty,
             dirty,
             scratch,
+            ..
         } = &mut cache;
         let chunk = dirty.len().div_ceil(threads).max(1);
         let slots = dirty.len().div_ceil(chunk);
@@ -299,13 +381,10 @@ pub fn parallel_solve_with<M: CoverModel>(
                 round_evals += 1;
             }
         }
-        for &v in dirty.iter() {
-            is_dirty[v.index()] = false;
-        }
-        dirty.clear();
+        cache.settle(&state);
         gain_evaluations += round_evals;
 
-        let Some((gain, chosen)) = cache.select_best(g, &state) else {
+        let Some((gain, chosen)) = cache.best() else {
             return Err(SolveError::internal(
                 "greedy round found no candidate despite k <= n",
             ));
@@ -350,7 +429,7 @@ pub fn spec() -> SolverSpec {
     SolverSpec::new(
         "delta",
         Algorithm::DeltaGreedy,
-        "Delta greedy: cached gains + dirty-set maintenance, bit-identical to greedy, O(n + k·dirty)",
+        "Delta greedy: dirty-set gain cache + tournament-tree argmax, bit-identical to greedy, O(n + k·dirty·log n)",
         SolverCaps::default(),
         |v, g, k, ctx| DeltaGreedy.dispatch(v, g, k, ctx),
     )
@@ -411,7 +490,7 @@ pub fn parallel_spec() -> SolverSpec {
 /// graph and the [`Variant`] — not on any solve order — so capturing them
 /// needs no instrumentation of the original solve and a single state is
 /// valid for every budget `k`. [`resolve_warm`] repairs this state against
-/// the post-delta graph instead of rescanning all `n` candidates.
+/// the post-delta graph instead of re-evaluating all `n` candidates.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct WarmState {
     variant: Variant,
@@ -494,7 +573,9 @@ pub struct WarmOutcome {
 /// invalidated round — is bit-identical to the cold solve's, for the
 /// retained order, cover, and trajectory alike. `gain_evaluations` counts
 /// only true recomputations: `O(|dirty|)` in round 0 instead of `O(n)`,
-/// identical to cold delta-greedy afterwards.
+/// identical to cold delta-greedy afterwards. Seeding (copying the gains,
+/// building the tournament tree, the drift scan) costs `O(n)` without a
+/// gain evaluation; each round then costs `O(|dirty| · log n)`.
 ///
 /// `algorithm` stamps the report (the repair loop itself is sequential).
 ///
@@ -524,12 +605,7 @@ pub fn resolve_warm<M: CoverModel>(
     }
 
     let mut state = CoverState::new(n);
-    let mut cache = GainCache {
-        gains: warm.gains.clone(),
-        is_dirty: vec![false; n],
-        dirty: Vec::new(),
-        scratch: Vec::new(),
-    };
+    let mut cache = GainCache::seeded(warm.gains.clone());
     for &v in touched {
         if v.index() < n {
             cache.mark(v);
@@ -553,7 +629,7 @@ pub fn resolve_warm<M: CoverModel>(
         ctx.check_cancelled()?;
         let round_evals = cache.refresh::<M>(g, &state);
         gain_evaluations += round_evals;
-        let Some((gain, chosen)) = cache.select_best(g, &state) else {
+        let Some((gain, chosen)) = cache.best() else {
             return Err(SolveError::internal(
                 "greedy round found no candidate despite k <= n",
             ));

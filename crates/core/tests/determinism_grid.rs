@@ -10,6 +10,10 @@
 //! reordered float reduction — fails here even when it is far below any
 //! tolerance, because the paper's parallelization claim (Section 4.2) is
 //! *identical* output, not *approximately equal* output.
+//!
+//! Random weights almost never tie exactly, so a separate all-ties shape
+//! (uniform rings) pins the tie-break itself: equal gains must go to the
+//! smaller id in every solver, as `float::improves_argmax` orders them.
 
 use rand::{RngExt, SeedableRng};
 
@@ -196,6 +200,91 @@ fn run_warm_grid<M: CoverModel>(
                 cold.gain_evaluations
             );
         }
+    }
+}
+
+/// A directed ring with uniform node and edge weights. Every round-0 gain
+/// is the same arithmetic on the same inputs, so all `n` tie exactly, and
+/// later rounds keep exact ties among the nodes no selection has reached:
+/// the order is decided by the tie-break alone. `n = 1` has no edge (a
+/// ring of one would be a self-loop).
+fn uniform_ring(n: usize) -> PreferenceGraph {
+    let mut b = GraphBuilder::new().normalize_node_weights(true);
+    let ids: Vec<ItemId> = (0..n).map(|_| b.add_node(1.0)).collect();
+    if n > 1 {
+        for (i, &v) in ids.iter().enumerate() {
+            b.add_edge(v, ids[(i + 1) % n], 0.5)
+                .expect("edge endpoints exist");
+        }
+    }
+    b.build().expect("valid graph")
+}
+
+/// The tie axis on one ring: for every `k` in `0..=n`, delta greedy
+/// (sequential, and chunked at several thread counts) and the warm repair
+/// (nothing touched, and after one edge upsert) must equal plain greedy
+/// bit for bit.
+fn run_tie_grid<M: CoverModel>(model_name: &str, n: usize) {
+    let g = uniform_ring(n);
+    // One edge upsert: a chord out of node 0 (for n = 2, a reweight of the
+    // ring edge 0 -> 1). Node weights stay bitwise intact, so only the
+    // touched frontier is repaired and the rest of the ring keeps its ties.
+    let edited = (n > 1).then(|| {
+        let delta = GraphDelta::new().push(Change::UpsertEdge {
+            source: ItemId::new(0),
+            target: ItemId::from_index(n / 2),
+            weight: 0.25,
+        });
+        let g2 = apply(&g, &delta).expect("delta applies");
+        (g2, delta.touched_nodes(&g))
+    });
+    for k in 0..=n {
+        let label = format!("ring(n={n}) {model_name} k={k}");
+        let seq = greedy::solve::<M>(&g, k).expect("sequential greedy");
+        let del = delta::solve::<M>(&g, k).expect("delta greedy");
+        assert_bit_identical(&seq, &del, &format!("{label} delta"));
+        for threads in [1, 2, 4, 7] {
+            let dpar = delta::parallel_solve::<M>(&g, k, threads).expect("delta-parallel greedy");
+            assert_bit_identical(
+                &seq,
+                &dpar,
+                &format!("{label} delta-parallel threads={threads}"),
+            );
+        }
+        let warm_state = WarmState::capture::<M>(&g, &seq.order);
+        let warm = delta::resolve_warm::<M>(
+            &g,
+            k,
+            &[],
+            &warm_state,
+            Algorithm::DeltaGreedy,
+            &mut SolveCtx::default(),
+        )
+        .expect("warm re-solve, nothing touched");
+        assert_bit_identical(&seq, &warm.report, &format!("{label} warm untouched"));
+        if let Some((g2, touched)) = &edited {
+            let seq2 = greedy::solve::<M>(g2, k).expect("sequential greedy after upsert");
+            let warm2 = delta::resolve_warm::<M>(
+                g2,
+                k,
+                touched,
+                &warm_state,
+                Algorithm::DeltaGreedy,
+                &mut SolveCtx::default(),
+            )
+            .expect("warm re-solve after upsert");
+            assert_bit_identical(&seq2, &warm2.report, &format!("{label} warm after upsert"));
+        }
+    }
+}
+
+#[test]
+fn exact_ties_break_like_greedy_on_uniform_rings() {
+    // Non-powers of two and sizes just past one (17, 65) leave the
+    // tournament tree unbalanced; 1 and 2 are the degenerate trees.
+    for n in [1, 2, 3, 5, 17, 64, 65] {
+        run_tie_grid::<Independent>("IPC", n);
+        run_tie_grid::<Normalized>("NPC", n);
     }
 }
 

@@ -54,7 +54,7 @@
 //!
 //! | Endpoint | Parameters | Answer |
 //! |---|---|---|
-//! | `GET /solve` | `k` (required), `algorithm`, `variant`, `seed`, `threads`, `epsilon`, `deadline_ms` | order + cover as JSON |
+//! | `GET /solve` | `k` (required), `algorithm`, `variant`, `seed`, `threads` (1..=64), `epsilon`, `deadline_ms` | order + cover as JSON |
 //! | `GET /cover` | same as `/solve` | cover value only |
 //! | `GET /minimize` | `threshold` (required) + the common parameters | smallest prefix reaching the threshold |
 //! | `GET /healthz` | — | liveness + generation |

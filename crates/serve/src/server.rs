@@ -494,6 +494,12 @@ enum SolveMode {
     CoverOnly,
 }
 
+/// The largest `threads` a client may ask for. The shared pool cache
+/// keeps one pool per distinct count for the life of the process, so an
+/// unbounded value would let a client grow it (and, with real rayon, the
+/// process's thread count) one request at a time.
+const MAX_THREADS: usize = 64;
+
 struct SolveParams<'r> {
     spec: &'r SolverSpec,
     variant: Variant,
@@ -526,7 +532,14 @@ fn parse_common<'r>(
     if let Some(s) = req.param("threads") {
         config.threads = s
             .parse()
-            .map_err(|_| (Status::BadRequest, format!("bad threads '{s}'")))?;
+            .ok()
+            .filter(|t| (1..=MAX_THREADS).contains(t))
+            .ok_or_else(|| {
+                (
+                    Status::BadRequest,
+                    format!("bad threads '{s}': expected 1..={MAX_THREADS}"),
+                )
+            })?;
     }
     if let Some(s) = req.param("epsilon") {
         let eps: f64 = s

@@ -290,6 +290,16 @@ fn end_to_end_solve_cache_swap_deadline_and_shutdown() {
     let (status, unknown) = get_json(addr, "/solve?k=2&algorithm=quantum");
     assert_eq!(status, 400);
     assert!(text(&unknown, "error").contains("quantum"));
+    // `threads` is bounded at parse time, before any pool exists for the
+    // count. The bound itself is checked on `lazy`, which builds no pool.
+    for threads in ["0", "65", "18446744073709551615"] {
+        let target = format!("/solve?k=2&algorithm=parallel&threads={threads}");
+        let (status, bad) = get_json(addr, &target);
+        assert_eq!(status, 400, "threads={threads}: {bad}");
+        assert!(text(&bad, "error").contains("1..=64"), "{bad}");
+    }
+    let (status, bounded) = get_json(addr, "/solve?k=2&threads=64");
+    assert_eq!(status, 200, "threads at the bound is accepted: {bounded}");
     assert_eq!(request(addr, "GET", "/nope", "").0, 404);
     assert_eq!(request(addr, "DELETE", "/solve?k=2", "").0, 405);
 
