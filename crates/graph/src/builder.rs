@@ -3,6 +3,7 @@
 // lint: allow-file(no-index) — ItemId values are dense indices assigned by GraphBuilder and every
 // per-node/per-edge array is sized to node_count/edge_count, so accesses are in
 // bounds by construction.
+use crate::graph::OwnedCsr;
 use crate::{Edge, GraphError, ItemId, PreferenceGraph, WEIGHT_EPSILON};
 
 /// What to do when the same directed edge `(source, target)` is added more
@@ -180,35 +181,11 @@ impl GraphBuilder {
             });
         }
 
-        // Node weight domain checks (before optional normalization the
-        // weights may be raw nonnegative counts when normalizing).
-        for (i, &w) in self.node_weights.iter().enumerate() {
-            let bad = if self.normalize_node_weights {
-                !w.is_finite() || w < 0.0
-            } else {
-                !w.is_finite() || !(0.0..=1.0).contains(&w)
-            };
-            if bad {
-                return Err(GraphError::InvalidNodeWeight {
-                    node: ItemId::from_index(i),
-                    weight: w,
-                });
-            }
-        }
-
-        if self.normalize_node_weights {
-            let sum: f64 = self.node_weights.iter().sum();
-            if sum > 0.0 {
-                for w in &mut self.node_weights {
-                    *w /= sum;
-                }
-            }
-        } else if !self.skip_weight_sum_check {
-            let sum: f64 = self.node_weights.iter().sum();
-            if (sum - 1.0).abs() > WEIGHT_EPSILON {
-                return Err(GraphError::NodeWeightsNotNormalized { sum });
-            }
-        }
+        settle_node_weights(
+            &mut self.node_weights,
+            self.normalize_node_weights,
+            self.skip_weight_sum_check,
+        )?;
 
         // Resolve duplicate edges. Sort by (source, target); duplicates are
         // adjacent afterwards.
@@ -242,7 +219,8 @@ impl GraphBuilder {
         let n = self.node_weights.len();
         let m = resolved.len();
 
-        // Out-CSR directly from the sorted edge list.
+        // Out-CSR directly from the sorted edge list; the in-CSR follows
+        // from it.
         let mut out_offsets = vec![0u32; n + 1];
         for e in &resolved {
             out_offsets[e.source.index() + 1] += 1;
@@ -257,41 +235,14 @@ impl GraphBuilder {
             out_weights.push(e.weight);
         }
 
-        // In-CSR by counting sort on target. Because the edge list is sorted
-        // by (source, target), a stable pass yields in-rows sorted by source.
-        let mut in_offsets = vec![0u32; n + 1];
-        for e in &resolved {
-            in_offsets[e.target.index() + 1] += 1;
-        }
-        for i in 0..n {
-            in_offsets[i + 1] += in_offsets[i];
-        }
-        let mut cursor: Vec<u32> = in_offsets[..n].to_vec();
-        let mut in_sources = vec![ItemId::new(0); m];
-        let mut in_weights = vec![0.0f64; m];
-        for e in resolved.iter() {
-            let slot = cursor[e.target.index()] as usize;
-            in_sources[slot] = e.source;
-            in_weights[slot] = e.weight;
-            cursor[e.target.index()] += 1;
-        }
-
         let labels = if self.any_label {
-            Some(std::mem::take(&mut self.labels))
+            Some(std::mem::take(&mut self.labels).into())
         } else {
             None
         };
 
         Ok(PreferenceGraph::new_owned(
-            crate::graph::OwnedCsr {
-                node_weights: self.node_weights,
-                out_offsets,
-                out_targets,
-                out_weights,
-                in_offsets,
-                in_sources,
-                in_weights,
-            },
+            OwnedCsr::from_out_csr(self.node_weights, out_offsets, out_targets, out_weights),
             labels,
         ))
     }
@@ -309,6 +260,45 @@ impl GraphBuilder {
         }
         Ok(g)
     }
+}
+
+/// The build-time node-weight pass, shared with [`crate::delta::apply`]:
+/// domain checks (raw nonnegative counts are fine when `normalize` is set),
+/// then either rescaling to sum 1 or, unless `skip_sum_check`, checking
+/// that the weights already do.
+pub(crate) fn settle_node_weights(
+    weights: &mut [f64],
+    normalize: bool,
+    skip_sum_check: bool,
+) -> Result<(), GraphError> {
+    for (i, &w) in weights.iter().enumerate() {
+        let bad = if normalize {
+            !w.is_finite() || w < 0.0
+        } else {
+            !w.is_finite() || !(0.0..=1.0).contains(&w)
+        };
+        if bad {
+            return Err(GraphError::InvalidNodeWeight {
+                node: ItemId::from_index(i),
+                weight: w,
+            });
+        }
+    }
+
+    if normalize {
+        let sum: f64 = weights.iter().sum();
+        if sum > 0.0 {
+            for w in weights {
+                *w /= sum;
+            }
+        }
+    } else if !skip_sum_check {
+        let sum: f64 = weights.iter().sum();
+        if (sum - 1.0).abs() > WEIGHT_EPSILON {
+            return Err(GraphError::NodeWeightsNotNormalized { sum });
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -5,17 +5,24 @@
 //! apply *small* changes — demand shifts, new items, delisted items,
 //! re-estimated edges — without rebuilding from raw data. A [`GraphDelta`]
 //! is an ordered batch of such changes; [`apply`] produces a new validated
-//! graph (the CSR representation is immutable by design, so application
-//! costs one rebuild pass, `O(n + m + |delta|)`).
+//! graph. The CSR representation is immutable by design, so application
+//! writes new arrays, but it patches rather than rebuilds them: rows the
+//! batch cannot reach are copied whole and only the rows it edits or
+//! delists into are merged, an `O(n + m)` copy plus an
+//! `O(|delta| log |delta|)` sort of the edits.
+//! A batch that adds no node shares the label table of its base graph, so
+//! successive generations carry one copy of the labels between them.
 
-// lint: allow-file(no-index) — ItemId values are dense indices assigned by GraphBuilder and every
-// per-node/per-edge array is sized to node_count/edge_count, so accesses are in
-// bounds by construction.
-use std::collections::HashMap;
+// lint: allow-file(no-index) — every node id is checked against the current node count before a
+// per-node array is indexed with it, and row bounds come from validated CSR offsets, so accesses are
+// in bounds by construction.
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use crate::{GraphBuilder, GraphError, ItemId, PreferenceGraph};
+use crate::builder::settle_node_weights;
+use crate::graph::OwnedCsr;
+use crate::{GraphError, ItemId, PreferenceGraph};
 
 /// One atomic change.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -208,23 +215,33 @@ impl GraphDelta {
 /// solver's eval savings and cache survival across snapshot swaps depend
 /// on.
 ///
+/// The batch is validated in order (the first failing change wins), then
+/// the new out-CSR is patched rather than rebuilt. The edge edits are
+/// sorted by `(source, target)`, keeping the last edit per pair. Rows no
+/// change can reach are copied from `g` in runs. An edited row, a delisted
+/// node's row, or a row with an edge into a delisted node is merged with
+/// its edits and filtered. The in-CSR is then derived from the result by a
+/// counting sort. That is an `O(n + m)` copy plus an
+/// `O(|delta| log |delta|)` sort, with no hashing. A batch that adds no
+/// node shares `g`'s label table. The result is owned even when `g` reads
+/// from an external (memory-mapped) backing.
+///
 /// # Errors
 ///
 /// Unknown node ids, out-of-domain weights and similar problems surface as
-/// [`GraphError`]s; the input graph is never modified.
+/// [`GraphError`]s; the input graph is never modified. A self-loop carried
+/// over from `g` (legal in `.pcov` containers and in builders with
+/// `allow_self_loops`) fails the apply with
+/// [`GraphError::SelfLoopDisallowed`] unless the batch removes it or
+/// delists its node, and a result with no nodes fails with
+/// [`GraphError::EmptyGraph`].
 pub fn apply(g: &PreferenceGraph, delta: &GraphDelta) -> Result<PreferenceGraph, GraphError> {
-    // Materialize mutable views.
+    let base_n = g.node_count();
     let mut weights: Vec<f64> = g.node_weights().to_vec();
-    let mut labels: Vec<String> = g
-        .node_ids()
-        .map(|v| g.label(v).unwrap_or("").to_owned())
-        .collect();
+    let mut added_labels: Vec<String> = Vec::new();
     let mut any_label = g.has_labels();
-    let mut edges: HashMap<(ItemId, ItemId), f64> = g
-        .edges()
-        .map(|e| ((e.source, e.target), e.weight))
-        .collect();
-    let mut delisted: Vec<bool> = vec![false; weights.len()];
+    let mut edits: Vec<EdgeEdit> = Vec::new();
+    let mut delists: Vec<ItemId> = Vec::new();
 
     let check_node = |node: ItemId, len: usize| -> Result<(), GraphError> {
         if node.index() >= len {
@@ -253,8 +270,7 @@ pub fn apply(g: &PreferenceGraph, delta: &GraphDelta) -> Result<PreferenceGraph,
                     });
                 }
                 weights.push(*weight);
-                labels.push(label.clone().unwrap_or_default());
-                delisted.push(false);
+                added_labels.push(label.clone().unwrap_or_default());
                 any_label |= label.is_some();
             }
             Change::UpsertEdge {
@@ -274,43 +290,200 @@ pub fn apply(g: &PreferenceGraph, delta: &GraphDelta) -> Result<PreferenceGraph,
                 if source == target {
                     return Err(GraphError::SelfLoopDisallowed { node: *source });
                 }
-                edges.insert((*source, *target), *weight);
+                edits.push(EdgeEdit {
+                    source: *source,
+                    target: *target,
+                    weight: Some(*weight),
+                });
             }
             Change::RemoveEdge { source, target } => {
                 check_node(*source, weights.len())?;
                 check_node(*target, weights.len())?;
-                edges.remove(&(*source, *target));
+                edits.push(EdgeEdit {
+                    source: *source,
+                    target: *target,
+                    weight: None,
+                });
             }
             Change::Delist { node } => {
                 check_node(*node, weights.len())?;
                 weights[node.index()] = 0.0;
-                delisted[node.index()] = true;
+                delists.push(*node);
             }
         }
     }
-    edges.retain(|(s, t), _| !delisted[s.index()] && !delisted[t.index()]);
+
+    let n = weights.len();
+    // Newest edit first, so that after the stable sort the dedup keeps the
+    // last edit the batch made to each pair.
+    edits.reverse();
+    edits.sort_by_key(|e| (e.source, e.target));
+    edits.dedup_by_key(|e| (e.source, e.target));
+    // A delisted node keeps no incident edge, whatever the batch did to it
+    // before or after the delist.
+    let mut delisted = vec![false; n];
+    for v in &delists {
+        delisted[v.index()] = true;
+    }
+    let live = |v: ItemId| !delisted[v.index()];
+
+    // The rows that can differ from `g`'s: edited rows, delisted rows and,
+    // for each delisted node, the rows holding an edge into it. Every other
+    // row is copied from `g` unchanged (rows past `g`'s nodes are empty).
+    let mut dirty: Vec<usize> = edits.iter().map(|e| e.source.index()).collect();
+    for &v in &delists {
+        dirty.push(v.index());
+        if v.index() < base_n {
+            dirty.extend(g.in_edges(v).map(|(u, _)| u.index()));
+        }
+    }
+    dirty.sort_unstable();
+    dirty.dedup();
+
+    let base_offsets = g.csr_out_offsets();
+    let base_targets = g.csr_out_targets();
+    let base_weights = g.csr_out_weights();
+    let mut out_offsets: Vec<u32> = Vec::with_capacity(n + 1);
+    out_offsets.push(0);
+    let mut out_targets: Vec<ItemId> = Vec::with_capacity(base_targets.len() + edits.len());
+    let mut out_weights: Vec<f64> = Vec::with_capacity(base_targets.len() + edits.len());
+    let mut pending = edits.as_slice();
+    let mut v = 0;
+    // Offsets are `u32`; they wrap only past u32::MAX edges, which is
+    // rejected below.
+    for next in dirty.into_iter().chain([n]) {
+        // Rows v..next are clean: those of `g` are copied in one run with
+        // their offsets shifted, and rows past `g`'s nodes are empty.
+        let end = next.min(base_n);
+        if v < end {
+            let (lo, hi) = (base_offsets[v] as usize, base_offsets[end] as usize);
+            let at = out_targets.len();
+            out_targets.extend_from_slice(&base_targets[lo..hi]);
+            out_weights.extend_from_slice(&base_weights[lo..hi]);
+            out_offsets.extend(
+                base_offsets[v + 1..=end]
+                    .iter()
+                    .map(|&o| (o as usize - lo + at) as u32),
+            );
+        }
+        out_offsets.resize(next + 1, out_targets.len() as u32);
+        if next == n {
+            break;
+        }
+        // Row `next` is dirty: merged with its edits, or empty when its
+        // node is delisted.
+        let source = ItemId::from_index(next);
+        let (row_edits, rest) = pending.split_at(pending.partition_point(|e| e.source == source));
+        pending = rest;
+        if live(source) {
+            let (lo, hi) = match base_offsets.get(next..next + 2) {
+                Some(&[lo, hi]) => (lo as usize, hi as usize),
+                _ => (0, 0),
+            };
+            merge_row(
+                &base_targets[lo..hi],
+                &base_weights[lo..hi],
+                row_edits,
+                live,
+                &mut out_targets,
+                &mut out_weights,
+            );
+        }
+        out_offsets.push(out_targets.len() as u32);
+        v = next + 1;
+    }
+    // A self-loop can only come from `g` (upserting one was rejected
+    // above). The result refuses it as the builder would, naming the
+    // smallest surviving one.
+    for (v, row) in out_offsets.windows(2).enumerate() {
+        let source = ItemId::from_index(v);
+        if out_targets[row[0] as usize..row[1] as usize]
+            .binary_search(&source)
+            .is_ok()
+        {
+            return Err(GraphError::SelfLoopDisallowed { node: source });
+        }
+    }
+    if n == 0 {
+        return Err(GraphError::EmptyGraph);
+    }
+    if out_targets.len() > u32::MAX as usize {
+        return Err(GraphError::CapacityExceeded {
+            what: "edge count exceeds u32::MAX",
+        });
+    }
 
     // Renormalize only when a change actually rescaled the weight vector.
     // An edge-only delta re-emits the (already normalized) weights of `g`
     // untouched; dividing them by their own sum again would perturb every
     // weight by float noise and silently invalidate all cached gains.
     let rescaled = delta.rescales_node_weights();
-    let mut b = GraphBuilder::with_capacity(weights.len(), edges.len())
-        .normalize_node_weights(rescaled)
-        .skip_weight_sum_check(!rescaled);
-    for (i, w) in weights.iter().enumerate() {
-        if any_label {
-            b.add_node_labeled(*w, labels[i].clone());
-        } else {
-            b.add_node(*w);
+    settle_node_weights(&mut weights, rescaled, !rescaled)?;
+
+    let labels = if n == base_n {
+        g.shared_labels()
+    } else if any_label {
+        let mut all: Vec<String> = Vec::with_capacity(n);
+        match g.labels() {
+            Some(base) => all.extend_from_slice(base),
+            None => all.resize(base_n, String::new()),
+        }
+        all.append(&mut added_labels);
+        Some(Arc::from(all))
+    } else {
+        None
+    };
+    Ok(PreferenceGraph::new_owned(
+        OwnedCsr::from_out_csr(weights, out_offsets, out_targets, out_weights),
+        labels,
+    ))
+}
+
+/// One edge change of a batch: an upsert (`Some` weight) or a removal.
+#[derive(Clone, Copy, Debug)]
+struct EdgeEdit {
+    source: ItemId,
+    target: ItemId,
+    weight: Option<f64>,
+}
+
+/// Appends the merge of one out-row (sorted by target) with its edits
+/// (sorted by target, one per target) to `targets`/`weights`: an upsert
+/// replaces or inserts its edge, a removal drops it, and targets that are
+/// not `live` are dropped.
+fn merge_row(
+    row_targets: &[ItemId],
+    row_weights: &[f64],
+    edits: &[EdgeEdit],
+    live: impl Fn(ItemId) -> bool,
+    targets: &mut Vec<ItemId>,
+    weights: &mut Vec<f64>,
+) {
+    let (mut i, mut j) = (0, 0);
+    loop {
+        let (target, weight) = match (row_targets.get(i), edits.get(j)) {
+            (Some(&t), e) if e.is_none_or(|e| t < e.target) => {
+                let w = row_weights[i];
+                i += 1;
+                (t, Some(w))
+            }
+            (t, Some(e)) => {
+                if t == Some(&e.target) {
+                    i += 1;
+                }
+                j += 1;
+                (e.target, e.weight)
+            }
+            // Both sides are exhausted.
+            _ => break,
+        };
+        if let Some(w) = weight {
+            if live(target) {
+                targets.push(target);
+                weights.push(w);
+            }
         }
     }
-    let mut sorted: Vec<((ItemId, ItemId), f64)> = edges.into_iter().collect();
-    sorted.sort_unstable_by_key(|&(key, _)| key);
-    for ((s, t), w) in sorted {
-        b.add_edge(s, t, w)?;
-    }
-    b.build()
 }
 
 #[cfg(test)]
@@ -639,6 +812,22 @@ mod tests {
         }
         assert_eq!(g2.edge_weight(ids.a, ids.b), Some(0.125));
         assert_eq!(g2.edge_weight(ids.e, ids.d), None);
+    }
+
+    #[test]
+    fn label_table_is_shared_unless_a_node_is_added() {
+        let (g, ids) = figure1_ids();
+        let table = |g: &PreferenceGraph| g.labels().map(<[String]>::as_ptr);
+        let delist = GraphDelta::new().push(Change::Delist { node: ids.b });
+        let g2 = apply(&g, &delist).unwrap();
+        assert_eq!(table(&g2), table(&g));
+        let grow = GraphDelta::new().push(Change::AddNode {
+            weight: 0.1,
+            label: Some("F".into()),
+        });
+        let g3 = apply(&g2, &grow).unwrap();
+        assert_ne!(table(&g3), table(&g));
+        assert_eq!(g3.labels().map(<[String]>::len), Some(6));
     }
 
     #[test]

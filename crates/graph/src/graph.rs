@@ -35,8 +35,9 @@ pub trait CsrSource: Send + Sync + fmt::Debug {
     fn in_weights(&self) -> &[f64];
 }
 
-/// Owned CSR arrays — the storage produced by [`GraphBuilder`] and by
-/// materializing an external source.
+/// Owned CSR arrays — the storage produced by [`GraphBuilder`], by
+/// [`delta::apply`](crate::delta::apply) and by materializing an external
+/// source.
 #[derive(Clone, Debug)]
 pub(crate) struct OwnedCsr {
     pub(crate) node_weights: Vec<f64>,
@@ -49,6 +50,49 @@ pub(crate) struct OwnedCsr {
 }
 
 impl OwnedCsr {
+    /// Assembles owned storage from node weights and a finished out-CSR
+    /// (rows in source order, each sorted by target), deriving the in-CSR by
+    /// a counting sort on target. Out-rows are visited in source order, so
+    /// the stable redistribution leaves every in-row sorted by source.
+    pub(crate) fn from_out_csr(
+        node_weights: Vec<f64>,
+        out_offsets: Vec<u32>,
+        out_targets: Vec<ItemId>,
+        out_weights: Vec<f64>,
+    ) -> Self {
+        let n = node_weights.len();
+        let m = out_targets.len();
+        let mut in_offsets = vec![0u32; n + 1];
+        for t in &out_targets {
+            in_offsets[t.index() + 1] += 1;
+        }
+        for i in 0..n {
+            in_offsets[i + 1] += in_offsets[i];
+        }
+        let mut cursor: Vec<u32> = in_offsets[..n].to_vec();
+        let mut in_sources = vec![ItemId::new(0); m];
+        let mut in_weights = vec![0.0f64; m];
+        for (v, row) in out_offsets.windows(2).enumerate() {
+            let source = ItemId::from_index(v);
+            for slot in row[0] as usize..row[1] as usize {
+                let t = out_targets[slot].index();
+                let dst = cursor[t] as usize;
+                in_sources[dst] = source;
+                in_weights[dst] = out_weights[slot];
+                cursor[t] += 1;
+            }
+        }
+        OwnedCsr {
+            node_weights,
+            out_offsets,
+            out_targets,
+            out_weights,
+            in_offsets,
+            in_sources,
+            in_weights,
+        }
+    }
+
     fn copied_from(src: &dyn CsrSource) -> Self {
         OwnedCsr {
             node_weights: src.node_weights().to_vec(),
@@ -116,7 +160,9 @@ enum Store {
 /// * In-CSR: `in_offsets[n + 1]`, `in_sources[m]`, `in_weights[m]` with each
 ///   row sorted by source id. This direction drives the solver's
 ///   `Gain`/`AddNode` loops ("for each `u ∉ S` such that `(u, v) ∈ E`").
-/// * Optional string labels mapping dense ids back to external identifiers.
+/// * Optional string labels mapping dense ids back to external identifiers,
+///   held in one shared table: clones and delta generations that add no
+///   node point at the same labels instead of copying them.
 ///
 /// The arrays are either owned vectors or zero-copy views into an external
 /// [`CsrSource`] (a memory-mapped container); every accessor dispatches with
@@ -124,7 +170,7 @@ enum Store {
 #[derive(Clone)]
 pub struct PreferenceGraph {
     store: Store,
-    labels: Option<Vec<String>>,
+    labels: Option<Arc<[String]>>,
 }
 
 /// Validates pre-assembled CSR arrays: offset shape and monotonicity, edge
@@ -246,7 +292,7 @@ fn validate_csr(
 
 impl PreferenceGraph {
     /// Assembles a graph from owned, builder-validated CSR arrays.
-    pub(crate) fn new_owned(csr: OwnedCsr, labels: Option<Vec<String>>) -> Self {
+    pub(crate) fn new_owned(csr: OwnedCsr, labels: Option<Arc<[String]>>) -> Self {
         PreferenceGraph {
             store: Store::Owned(csr),
             labels,
@@ -288,7 +334,7 @@ impl PreferenceGraph {
                 in_sources: parts.in_sources,
                 in_weights: parts.in_weights,
             }),
-            labels: parts.labels,
+            labels: parts.labels.map(Arc::from),
         })
     }
 
@@ -315,7 +361,7 @@ impl PreferenceGraph {
         )?;
         Ok(PreferenceGraph {
             store: Store::External(source),
-            labels,
+            labels: labels.map(Arc::from),
         })
     }
 
@@ -403,6 +449,12 @@ impl PreferenceGraph {
     /// Node labels, length `n`, if labels were provided at build time.
     pub fn labels(&self) -> Option<&[String]> {
         self.labels.as_deref()
+    }
+
+    /// The label table itself, for a derived graph with the same nodes to
+    /// share rather than copy.
+    pub(crate) fn shared_labels(&self) -> Option<Arc<[String]>> {
+        self.labels.clone()
     }
 
     /// Number of nodes (items).

@@ -46,7 +46,7 @@ pub fn reverse(g: &PreferenceGraph) -> PreferenceGraph {
             in_sources: g.csr_out_targets().to_vec(),
             in_weights: g.csr_out_weights().to_vec(),
         },
-        g.labels().map(|l| l.to_vec()),
+        g.shared_labels(),
     )
 }
 

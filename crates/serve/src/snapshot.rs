@@ -3,6 +3,11 @@
 //! The service never mutates a graph in place: each `POST /admin/delta`
 //! builds a **new** validated [`PreferenceGraph`] from the current one via
 //! [`pcover_graph::delta::apply`] and publishes it as the next generation.
+//! Building it costs an `O(n + m)` copy of the CSR rows (rows the delta
+//! cannot reach are copied whole, only the rows it edits or delists into
+//! are merged) plus an `O(|delta| log |delta|)` sort of the edits; a delta
+//! that adds no node shares the label table with the generation it came
+//! from.
 //! Queries clone an `Arc` to the snapshot they start on and keep it for
 //! their whole lifetime, so a swap never invalidates an in-flight solve —
 //! old generations are freed when the last in-flight query drops its `Arc`.
@@ -95,7 +100,8 @@ impl SnapshotManager {
     /// Applies `delta` to the current graph and atomically publishes the
     /// result as the next generation, returning its number. In-flight
     /// queries on older generations are unaffected. Writers are serialized;
-    /// the (possibly expensive) rebuild happens outside the swap lock.
+    /// building the new graph (a row copy of the CSR arrays, see the module
+    /// docs) happens outside the swap lock.
     ///
     /// # Errors
     ///
