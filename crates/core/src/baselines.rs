@@ -177,7 +177,10 @@ pub fn top_k_weight_spec() -> SolverSpec {
         "topk-w",
         Algorithm::TopKWeight,
         "TopK-W baseline: the k best-selling items by weight, ignoring alternatives",
-        SolverCaps::default(),
+        SolverCaps {
+            prefix_chain: true,
+            ..SolverCaps::default()
+        },
         |v, g, k, ctx| TopKWeight.dispatch(v, g, k, ctx),
     )
 }
@@ -207,7 +210,10 @@ pub fn top_k_coverage_spec() -> SolverSpec {
         "topk-c",
         Algorithm::TopKCoverage,
         "TopK-C baseline: the k items with highest singleton coverage, overlap-blind",
-        SolverCaps::default(),
+        SolverCaps {
+            prefix_chain: true,
+            ..SolverCaps::default()
+        },
         |v, g, k, ctx| TopKCoverage.dispatch(v, g, k, ctx),
     )
 }
@@ -241,10 +247,7 @@ pub fn random_spec() -> SolverSpec {
         "random",
         Algorithm::Random,
         "Random baseline: best cover over N uniform draws (the paper takes best of 10)",
-        SolverCaps {
-            needs_seed: true,
-            ..SolverCaps::default()
-        },
+        SolverCaps::default(),
         |v, g, k, ctx| {
             RandomBestOf {
                 seed: ctx.config.seed,

@@ -33,18 +33,16 @@
 //! bit-identical to [`greedy::solve`](crate::greedy::solve) for both IPC
 //! and NPC. The determinism grid asserts this.
 //!
-//! [`parallel_solve_with`] is the chunked variant: each round splits the
-//! dirty list into `threads` contiguous slices, recomputes gains on the
-//! shared pool (pure reads of the state; results are gathered slot-indexed
-//! and written back sequentially), and settles the tree sequentially —
-//! bit-identical for every thread count.
+//! The warm repair ([`resolve_warm`]) runs the cold solve's round loop
+//! itself; only the starting cache differs (the previous generation's
+//! round-0 gains, with the delta's frontier marked dirty, instead of an
+//! all-dirty cache).
 
 // lint: allow-file(no-index) — per-item arrays (I-values, selection masks, gains) are sized to
 // node_count and indexed by ItemId::index(); bounds-checked [] in the hot greedy
 // loops is deliberate and in bounds by construction.
 use std::time::Instant;
 
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use pcover_graph::{ItemId, PreferenceGraph};
@@ -61,23 +59,17 @@ use crate::{Independent, Normalized, SolveError};
 /// would need `2³²` nodes to reach it).
 const EMPTY: ItemId = ItemId::new(u32::MAX);
 
-/// The cached-gain bookkeeping shared by the sequential and chunked
-/// variants and the warm repair: per-node gains, a tournament tree over
-/// them, a dedup flag array, and the dirty work list.
+/// The cached-gain bookkeeping of the round loop: per-node gains, a
+/// tournament tree over them, a dedup flag array, and the dirty work list.
 struct GainCache {
     gains: Vec<f64>,
     /// The winner tree: leaf slot `n + v` holds `v` (or [`EMPTY`] once `v`
     /// is retained), and each internal slot `s` in `1..n` holds the winner
     /// of slots `2s` and `2s + 1`, so slot 1 is the argmax. Leaves of dirty
-    /// nodes may be out of date until [`Self::settle`].
+    /// nodes may be out of date until [`Self::refresh`].
     tree: Vec<ItemId>,
     is_dirty: Vec<bool>,
     dirty: Vec<ItemId>,
-    /// Per-slot result buffers for the chunked-parallel refresh, one per
-    /// worker slice. Allocated up to the observed slot count once, then
-    /// cleared and refilled each round — the per-round `collect()`s this
-    /// replaces were the workspace's own `alloc-in-hot-loop` findings.
-    scratch: Vec<Vec<(ItemId, f64)>>,
 }
 
 impl GainCache {
@@ -90,7 +82,6 @@ impl GainCache {
             tree: vec![EMPTY; 2 * n],
             is_dirty: vec![true; n],
             dirty: g.node_ids().collect(),
-            scratch: Vec::new(),
         }
     }
 
@@ -106,7 +97,6 @@ impl GainCache {
             tree,
             is_dirty: vec![false; n],
             dirty: Vec::new(),
-            scratch: Vec::new(),
         };
         cache.rebuild();
         cache
@@ -145,34 +135,30 @@ impl GainCache {
         }
     }
 
-    /// Sequentially recomputes every dirty gain, then settles the tree.
-    /// Returns the number of gain evaluations performed (retained nodes are
-    /// skipped and not counted, matching plain greedy's accounting).
+    /// Recomputes every dirty gain and clears the dirty set: each dirty
+    /// leaf becomes its node again (or [`EMPTY`] once retained), then the
+    /// tree is rebuilt bottom-up when `|dirty| · log₂ n ≥ n` (`log₂` taken
+    /// as at least 1, so an all-dirty refresh always rebuilds), or else
+    /// each dirty leaf's path to the root is replayed. A later leaf's replay
+    /// redoes every slot it shares with an earlier one, so the settled tree
+    /// is the same as if all gains were written first. Returns the number
+    /// of gain evaluations performed (retained nodes are skipped and not
+    /// counted, matching plain greedy's accounting).
     fn refresh<M: CoverModel>(&mut self, g: &PreferenceGraph, state: &CoverState) -> u64 {
-        let mut evals = 0u64;
-        for &v in &self.dirty {
-            if !state.contains(v) {
-                self.gains[v.index()] = state.gain::<M>(g, v);
-                evals += 1;
-            }
-        }
-        self.settle(state);
-        evals
-    }
-
-    /// Clears the dirty set once its gains are written: each dirty leaf
-    /// becomes its node again (or [`EMPTY`] once retained), then the tree
-    /// is rebuilt bottom-up when `|dirty| · log₂ n ≥ n` (`log₂` taken as at
-    /// least 1, so an all-dirty refresh always rebuilds), or else each
-    /// dirty leaf's path to the root is replayed.
-    fn settle(&mut self, state: &CoverState) {
         let n = self.gains.len();
         let rebuild = self.dirty.len() * n.max(2).ilog2() as usize >= n;
+        let mut evals = 0u64;
         let mut dirty = std::mem::take(&mut self.dirty);
         for &v in &dirty {
             self.is_dirty[v.index()] = false;
             let leaf = n + v.index();
-            self.tree[leaf] = if state.contains(v) { EMPTY } else { v };
+            if state.contains(v) {
+                self.tree[leaf] = EMPTY;
+            } else {
+                self.gains[v.index()] = state.gain::<M>(g, v);
+                evals += 1;
+                self.tree[leaf] = v;
+            }
             if !rebuild {
                 let mut slot = leaf / 2;
                 while slot > 0 {
@@ -186,6 +172,7 @@ impl GainCache {
         }
         dirty.clear();
         self.dirty = dirty;
+        evals
     }
 
     /// Recomputes every internal slot, children before parents: `O(n)`.
@@ -222,6 +209,60 @@ impl GainCache {
             .filter(|&&v| v != EMPTY)
             .map(|&v| (self.gains[v.index()], v))
     }
+}
+
+/// The round loop of the cold solve and the warm repair: `k` rounds of
+/// refresh, root read, stale marking and `AddNode`, starting from `cache`
+/// (all dirty when cold, seeded and marked when repairing). Cancellation is
+/// polled before every round. Also returns how many leading rounds picked
+/// exactly `prior`'s node at their position (`prior` is the previous
+/// generation's order, empty when cold). The report's `elapsed` runs from
+/// `started`, so it includes the caller's seeding. The caller checks
+/// `k <= n`.
+fn run_rounds<M: CoverModel>(
+    g: &PreferenceGraph,
+    k: usize,
+    mut cache: GainCache,
+    prior: &[ItemId],
+    started: Instant,
+    ctx: &mut SolveCtx<'_>,
+) -> Result<(SolveReport, usize), SolveError> {
+    let mut state = CoverState::new(g.node_count());
+    let mut trajectory = Vec::with_capacity(k);
+    let mut gain_evaluations = 0u64;
+    let mut rounds_reused = 0usize;
+
+    for iter in 0..k {
+        ctx.check_cancelled()?;
+        let round_evals = cache.refresh::<M>(g, &state);
+        gain_evaluations += round_evals;
+        let Some((gain, chosen)) = cache.best() else {
+            return Err(SolveError::internal(
+                "greedy round found no candidate despite k <= n",
+            ));
+        };
+        // Reuse is counted while the prior prefix is intact.
+        if rounds_reused == iter && prior.get(iter) == Some(&chosen) {
+            rounds_reused += 1;
+        }
+        cache.mark_stale_after_select(g, &state, chosen);
+        state.add_node::<M>(g, chosen);
+        trajectory.push(state.cover());
+        ctx.emit_select(iter, chosen, gain, state.cover());
+        ctx.emit_round_stats(RoundStats {
+            iter,
+            gain_evaluations: round_evals,
+        });
+    }
+
+    let report = finish::<M>(
+        Algorithm::DeltaGreedy,
+        state,
+        trajectory,
+        started,
+        gain_evaluations,
+    );
+    Ok((report, rounds_reused))
 }
 
 /// Runs delta greedy for budget `k`. Bit-identical output to
@@ -262,150 +303,7 @@ pub fn solve_with<M: CoverModel>(
     if k > n {
         return Err(SolveError::KTooLarge { k, n });
     }
-
-    let mut state = CoverState::new(n);
-    let mut cache = GainCache::new(g);
-    let mut trajectory = Vec::with_capacity(k);
-    let mut gain_evaluations = 0u64;
-
-    for iter in 0..k {
-        ctx.check_cancelled()?;
-        let round_evals = cache.refresh::<M>(g, &state);
-        gain_evaluations += round_evals;
-        let Some((gain, chosen)) = cache.best() else {
-            return Err(SolveError::internal(
-                "greedy round found no candidate despite k <= n",
-            ));
-        };
-        cache.mark_stale_after_select(g, &state, chosen);
-        state.add_node::<M>(g, chosen);
-        trajectory.push(state.cover());
-        ctx.emit_select(iter, chosen, gain, state.cover());
-        ctx.emit_round_stats(RoundStats {
-            iter,
-            gain_evaluations: round_evals,
-        });
-    }
-
-    Ok(finish::<M>(
-        Algorithm::DeltaGreedy,
-        state,
-        trajectory,
-        started,
-        gain_evaluations,
-    ))
-}
-
-/// Chunked-parallel delta greedy: the dirty list is split into `threads`
-/// contiguous slices and refreshed on the shared pool
-/// ([`pool::shared_pool`](crate::pool::shared_pool)); gathered results are
-/// written back in slot order and selection stays sequential, so the output
-/// is bit-identical to [`solve`] (and therefore to plain greedy) for every
-/// thread count.
-///
-/// # Errors
-///
-/// [`SolveError::KTooLarge`] if `k > n`; [`SolveError::ZeroThreads`] if
-/// `threads == 0`.
-pub fn parallel_solve<M: CoverModel>(
-    g: &PreferenceGraph,
-    k: usize,
-    threads: usize,
-) -> Result<SolveReport, SolveError> {
-    parallel_solve_with::<M>(g, k, threads, &mut SolveCtx::default())
-}
-
-/// [`parallel_solve`] with an execution context.
-///
-/// # Errors
-///
-/// As [`parallel_solve`], plus [`SolveError::Cancelled`] when the observer
-/// signals.
-pub fn parallel_solve_with<M: CoverModel>(
-    g: &PreferenceGraph,
-    k: usize,
-    threads: usize,
-    ctx: &mut SolveCtx<'_>,
-) -> Result<SolveReport, SolveError> {
-    let started = Instant::now();
-    let n = g.node_count();
-    if k > n {
-        return Err(SolveError::KTooLarge { k, n });
-    }
-    let pool = crate::pool::shared_pool(threads)?;
-
-    let mut state = CoverState::new(n);
-    let mut cache = GainCache::new(g);
-    let mut trajectory = Vec::with_capacity(k);
-    let mut gain_evaluations = 0u64;
-
-    for iter in 0..k {
-        ctx.check_cancelled()?;
-        // Refresh: contiguous slices of the dirty list, recomputed on the
-        // pool. The workers only *read* the state; each slice's results
-        // land in that slice's reusable scratch slot (cleared, never
-        // reallocated, across rounds), then are written back sequentially
-        // in slot order below (dirty entries are unique, so the writes are
-        // disjoint) before the tree settles. Split borrows so the closure
-        // can read `dirty` while filling `scratch`.
-        let GainCache {
-            gains,
-            dirty,
-            scratch,
-            ..
-        } = &mut cache;
-        let chunk = dirty.len().div_ceil(threads).max(1);
-        let slots = dirty.len().div_ceil(chunk);
-        if scratch.len() < slots {
-            scratch.resize_with(slots, Vec::new);
-        }
-        pool.install(|| {
-            scratch[..slots]
-                .par_iter_mut()
-                .enumerate()
-                .for_each(|(si, slot)| {
-                    slot.clear();
-                    let start = si * chunk;
-                    let end = (start + chunk).min(dirty.len());
-                    for &v in &dirty[start..end] {
-                        if !state.contains(v) {
-                            slot.push((v, state.gain::<M>(g, v)));
-                        }
-                    }
-                })
-        });
-        let mut round_evals = 0u64;
-        for slot in &scratch[..slots] {
-            for &(v, gain) in slot {
-                gains[v.index()] = gain;
-                round_evals += 1;
-            }
-        }
-        cache.settle(&state);
-        gain_evaluations += round_evals;
-
-        let Some((gain, chosen)) = cache.best() else {
-            return Err(SolveError::internal(
-                "greedy round found no candidate despite k <= n",
-            ));
-        };
-        cache.mark_stale_after_select(g, &state, chosen);
-        state.add_node::<M>(g, chosen);
-        trajectory.push(state.cover());
-        ctx.emit_select(iter, chosen, gain, state.cover());
-        ctx.emit_round_stats(RoundStats {
-            iter,
-            gain_evaluations: round_evals,
-        });
-    }
-
-    Ok(finish::<M>(
-        Algorithm::DeltaParallelGreedy,
-        state,
-        trajectory,
-        started,
-        gain_evaluations,
-    ))
+    run_rounds::<M>(g, k, GainCache::new(g), &[], started, ctx).map(|(report, _)| report)
 }
 
 /// Delta greedy as a registry [`Solver`].
@@ -430,55 +328,15 @@ pub fn spec() -> SolverSpec {
         "delta",
         Algorithm::DeltaGreedy,
         "Delta greedy: dirty-set gain cache + tournament-tree argmax, bit-identical to greedy, O(n + k·dirty·log n)",
-        SolverCaps::default(),
-        |v, g, k, ctx| DeltaGreedy.dispatch(v, g, k, ctx),
-    )
-    .with_warm(|v, g, k, touched, warm, ctx| {
-        resolve_warm_variant(v, g, k, touched, warm, Algorithm::DeltaGreedy, ctx)
-    })
-}
-
-/// Chunked-parallel delta greedy as a registry [`Solver`].
-#[derive(Clone, Copy, Debug)]
-pub struct DeltaParallelGreedy {
-    /// Worker thread count (must be at least 1).
-    pub threads: usize,
-}
-
-impl Solver for DeltaParallelGreedy {
-    fn solve<M: CoverModel>(
-        &self,
-        g: &PreferenceGraph,
-        k: usize,
-        ctx: &mut SolveCtx<'_>,
-    ) -> Result<SolveReport, SolveError> {
-        parallel_solve_with::<M>(g, k, self.threads, ctx)
-    }
-}
-
-/// The registry entry for [`DeltaParallelGreedy`]; thread count comes from
-/// [`SolverConfig::threads`](crate::solver::SolverConfig::threads).
-pub fn parallel_spec() -> SolverSpec {
-    SolverSpec::new(
-        "delta-parallel",
-        Algorithm::DeltaParallelGreedy,
-        "Delta greedy with the dirty-set refresh chunked over the shared rayon pool",
         SolverCaps {
-            supports_threads: true,
+            prefix_chain: true,
             ..SolverCaps::default()
         },
-        |v, g, k, ctx| {
-            DeltaParallelGreedy {
-                threads: ctx.config.threads,
-            }
-            .dispatch(v, g, k, ctx)
-        },
+        |v, g, k, ctx| DeltaGreedy.dispatch(v, g, k, ctx),
     )
-    .with_warm(|v, g, k, touched, warm, ctx| {
-        // The repair loop is sequential (round 0 touches only the dirty
-        // frontier — chunking it buys nothing), but stays bit-identical to
-        // the chunked cold solve, which is itself bit-identical to `solve`.
-        resolve_warm_variant(v, g, k, touched, warm, Algorithm::DeltaParallelGreedy, ctx)
+    .with_warm(|v, g, k, touched, warm, ctx| match v {
+        Variant::Independent => resolve_warm::<Independent>(g, k, touched, warm, ctx),
+        Variant::Normalized => resolve_warm::<Normalized>(g, k, touched, warm, ctx),
     })
 }
 
@@ -567,17 +425,15 @@ pub struct WarmOutcome {
 /// without any assumption about the delta's shape — together with the
 /// out-rows of drifted nodes (a candidate reads the weight of each
 /// in-neighbor). Every clean cached gain is then bitwise what a cold
-/// round-0 scan would recompute, so each round's audited
-/// [`improves_argmax`](crate::float::improves_argmax) selection — verifying
-/// the retained prefix in order, resuming full selection from the first
-/// invalidated round — is bit-identical to the cold solve's, for the
-/// retained order, cover, and trajectory alike. `gain_evaluations` counts
-/// only true recomputations: `O(|dirty|)` in round 0 instead of `O(n)`,
-/// identical to cold delta-greedy afterwards. Seeding (copying the gains,
-/// building the tournament tree, the drift scan) costs `O(n)` without a
-/// gain evaluation; each round then costs `O(|dirty| · log n)`.
-///
-/// `algorithm` stamps the report (the repair loop itself is sequential).
+/// round-0 scan would recompute, and the rounds run through the cold
+/// solve's own loop, so the retained order, cover, and trajectory are
+/// bit-identical to the cold solve's. The stored order only counts reuse:
+/// a round is reused while it re-selects the previous pick at its position.
+/// `gain_evaluations` counts only true recomputations: `O(|dirty|)` in
+/// round 0 instead of `O(n)`, identical to cold delta-greedy afterwards.
+/// Seeding (copying the gains, building the tournament tree, the drift
+/// scan) costs `O(n)` without a gain evaluation; each round then costs
+/// `O(|dirty| · log n)`.
 ///
 /// # Errors
 ///
@@ -590,7 +446,6 @@ pub fn resolve_warm<M: CoverModel>(
     k: usize,
     touched: &[ItemId],
     warm: &WarmState,
-    algorithm: Algorithm,
     ctx: &mut SolveCtx<'_>,
 ) -> Result<WarmOutcome, SolveError> {
     let started = Instant::now();
@@ -604,7 +459,6 @@ pub fn resolve_warm<M: CoverModel>(
         ));
     }
 
-    let mut state = CoverState::new(n);
     let mut cache = GainCache::seeded(warm.gains.clone());
     for &v in touched {
         if v.index() < n {
@@ -620,61 +474,12 @@ pub fn resolve_warm<M: CoverModel>(
         }
     }
 
-    let mut trajectory = Vec::with_capacity(k);
-    let mut gain_evaluations = 0u64;
-    let mut rounds_reused = 0usize;
-    let mut prefix_intact = true;
-
-    for iter in 0..k {
-        ctx.check_cancelled()?;
-        let round_evals = cache.refresh::<M>(g, &state);
-        gain_evaluations += round_evals;
-        let Some((gain, chosen)) = cache.best() else {
-            return Err(SolveError::internal(
-                "greedy round found no candidate despite k <= n",
-            ));
-        };
-        if prefix_intact && warm.order.get(iter) == Some(&chosen) {
-            rounds_reused += 1;
-        } else {
-            prefix_intact = false;
-        }
-        cache.mark_stale_after_select(g, &state, chosen);
-        state.add_node::<M>(g, chosen);
-        trajectory.push(state.cover());
-        ctx.emit_select(iter, chosen, gain, state.cover());
-        ctx.emit_round_stats(RoundStats {
-            iter,
-            gain_evaluations: round_evals,
-        });
-    }
-
-    let rounds_repaired = k - rounds_reused;
+    let (report, rounds_reused) = run_rounds::<M>(g, k, cache, &warm.order, started, ctx)?;
     Ok(WarmOutcome {
-        report: finish::<M>(algorithm, state, trajectory, started, gain_evaluations),
+        report,
         rounds_reused,
-        rounds_repaired,
+        rounds_repaired: k - rounds_reused,
     })
-}
-
-/// Runtime-variant dispatch for [`resolve_warm`].
-///
-/// # Errors
-///
-/// As [`resolve_warm`].
-pub fn resolve_warm_variant(
-    variant: Variant,
-    g: &PreferenceGraph,
-    k: usize,
-    touched: &[ItemId],
-    warm: &WarmState,
-    algorithm: Algorithm,
-    ctx: &mut SolveCtx<'_>,
-) -> Result<WarmOutcome, SolveError> {
-    match variant {
-        Variant::Independent => resolve_warm::<Independent>(g, k, touched, warm, algorithm, ctx),
-        Variant::Normalized => resolve_warm::<Normalized>(g, k, touched, warm, algorithm, ctx),
-    }
 }
 
 #[cfg(test)]
@@ -728,11 +533,6 @@ mod tests {
                 let d = solve::<Independent>(&g, k).unwrap();
                 assert_eq!(d.order, p.order, "seed {seed} k {k}");
                 assert_eq!(d.cover.to_bits(), p.cover.to_bits(), "seed {seed} k {k}");
-                for threads in [1, 2, 4, 7] {
-                    let dp = parallel_solve::<Independent>(&g, k, threads).unwrap();
-                    assert_eq!(dp.order, p.order, "seed {seed} k {k} threads {threads}");
-                    assert_eq!(dp.cover.to_bits(), p.cover.to_bits());
-                }
             }
         }
     }
@@ -769,19 +569,6 @@ mod tests {
         assert!(matches!(
             solve::<Normalized>(&g, 6),
             Err(SolveError::KTooLarge { k: 6, n: 5 })
-        ));
-        assert!(matches!(
-            parallel_solve::<Normalized>(&g, 6, 2),
-            Err(SolveError::KTooLarge { k: 6, n: 5 })
-        ));
-    }
-
-    #[test]
-    fn zero_threads_rejected() {
-        let (g, _) = figure1_ids();
-        assert!(matches!(
-            parallel_solve::<Normalized>(&g, 1, 0),
-            Err(SolveError::ZeroThreads)
         ));
     }
 
@@ -831,15 +618,7 @@ mod tests {
         let touched = delta.touched_nodes(&g);
 
         let cold = solve::<Normalized>(&g2, k).unwrap();
-        let out = resolve_warm::<Normalized>(
-            &g2,
-            k,
-            &touched,
-            &warm,
-            Algorithm::DeltaGreedy,
-            &mut warm_ctx(),
-        )
-        .unwrap();
+        let out = resolve_warm::<Normalized>(&g2, k, &touched, &warm, &mut warm_ctx()).unwrap();
         assert!(out.report.bit_identical_to(&cold));
         assert_eq!(out.rounds_reused + out.rounds_repaired, k);
         assert!(
@@ -866,15 +645,9 @@ mod tests {
         });
         let g2 = apply(&g, &delta).unwrap();
         let cold = solve::<Independent>(&g2, k).unwrap();
-        let out = resolve_warm::<Independent>(
-            &g2,
-            k,
-            &delta.touched_nodes(&g),
-            &warm,
-            Algorithm::DeltaGreedy,
-            &mut warm_ctx(),
-        )
-        .unwrap();
+        let out =
+            resolve_warm::<Independent>(&g2, k, &delta.touched_nodes(&g), &warm, &mut warm_ctx())
+                .unwrap();
         assert!(out.report.bit_identical_to(&cold));
     }
 
@@ -893,15 +666,9 @@ mod tests {
         });
         let g2 = apply(&g, &delta).unwrap();
         let cold = solve::<Normalized>(&g2, k).unwrap();
-        let out = resolve_warm::<Normalized>(
-            &g2,
-            k,
-            &delta.touched_nodes(&g),
-            &warm,
-            Algorithm::DeltaGreedy,
-            &mut warm_ctx(),
-        )
-        .unwrap();
+        let out =
+            resolve_warm::<Normalized>(&g2, k, &delta.touched_nodes(&g), &warm, &mut warm_ctx())
+                .unwrap();
         assert!(out.report.bit_identical_to(&cold));
     }
 
@@ -911,9 +678,7 @@ mod tests {
         let k = 25;
         let base = solve::<Normalized>(&g, k).unwrap();
         let warm = WarmState::capture::<Normalized>(&g, &base.order);
-        let out =
-            resolve_warm::<Normalized>(&g, k, &[], &warm, Algorithm::DeltaGreedy, &mut warm_ctx())
-                .unwrap();
+        let out = resolve_warm::<Normalized>(&g, k, &[], &warm, &mut warm_ctx()).unwrap();
         assert!(out.report.bit_identical_to(&base));
         assert_eq!(out.rounds_reused, k);
         assert_eq!(out.rounds_repaired, 0);
@@ -932,15 +697,7 @@ mod tests {
         assert!(!warm.accepts(Variant::Independent, &g));
         let bigger = random_graph(31, 1);
         assert!(!warm.accepts(Variant::Normalized, &bigger));
-        assert!(resolve_warm::<Independent>(
-            &g,
-            2,
-            &[],
-            &warm,
-            Algorithm::DeltaGreedy,
-            &mut warm_ctx()
-        )
-        .is_err());
+        assert!(resolve_warm::<Independent>(&g, 2, &[], &warm, &mut warm_ctx()).is_err());
     }
 
     #[test]
@@ -952,9 +709,7 @@ mod tests {
         let back: WarmState = serde_json::from_str(&json).unwrap();
         assert_eq!(back.variant(), Variant::Independent);
         assert_eq!(back.order(), warm.order());
-        let out =
-            resolve_warm::<Independent>(&g, 5, &[], &back, Algorithm::DeltaGreedy, &mut warm_ctx())
-                .unwrap();
+        let out = resolve_warm::<Independent>(&g, 5, &[], &back, &mut warm_ctx()).unwrap();
         assert!(out.report.bit_identical_to(&base));
     }
 
@@ -971,13 +726,6 @@ mod tests {
             .unwrap();
         assert!(out.report.bit_identical_to(&base));
         assert_eq!(out.report.algorithm, Algorithm::DeltaGreedy);
-        let p = parallel_spec();
-        assert!(p.supports_warm_start());
-        let pout = p
-            .solve_warm(Variant::Normalized, &g, k, &[], &warm, &mut warm_ctx())
-            .unwrap();
-        assert!(pout.report.bit_identical_to(&base));
-        assert_eq!(pout.report.algorithm, Algorithm::DeltaParallelGreedy);
         // Plain greedy has no warm entry point.
         assert!(!crate::greedy::spec().supports_warm_start());
     }

@@ -121,7 +121,10 @@ pub fn spec() -> SolverSpec {
         "greedy",
         Algorithm::Greedy,
         "Plain greedy (Algorithm 1): full candidate scan each round, 1-1/e guarantee, O(nkD)",
-        SolverCaps::default(),
+        SolverCaps {
+            prefix_chain: true,
+            ..SolverCaps::default()
+        },
         |v, g, k, ctx| Greedy.dispatch(v, g, k, ctx),
     )
 }
@@ -157,6 +160,7 @@ pub fn low_memory_spec() -> SolverSpec {
         Algorithm::Greedy,
         "O(k)-space greedy (Section 3.2): recomputes I-values on the fly; NPC only",
         SolverCaps {
+            prefix_chain: true,
             variants: VariantSupport::Only(Variant::Normalized),
             ..SolverCaps::default()
         },

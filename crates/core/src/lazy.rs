@@ -116,7 +116,10 @@ pub fn spec() -> SolverSpec {
         "lazy",
         Algorithm::LazyGreedy,
         "Lazy greedy: stale-gain max-heap, same set quality as greedy, near-linear in practice",
-        SolverCaps::default(),
+        SolverCaps {
+            prefix_chain: true,
+            ..SolverCaps::default()
+        },
         |v, g, k, ctx| LazyGreedy.dispatch(v, g, k, ctx),
     )
 }

@@ -237,7 +237,7 @@ pub fn spec() -> SolverSpec {
         Algorithm::ParallelGreedy,
         "Rayon-parallel greedy: chunked gain scans, bit-identical to greedy, O(k + nkD/N)",
         SolverCaps {
-            supports_threads: true,
+            prefix_chain: true,
             ..SolverCaps::default()
         },
         |v, g, k, ctx| {
@@ -280,6 +280,7 @@ mod tests {
 
     #[test]
     fn matches_sequential_greedy_exactly() {
+        let _cache = crate::pool::tests::cache_guard();
         for seed in 0..3 {
             let g = random_graph(50, seed);
             let plain = greedy::solve::<Independent>(&g, 12).unwrap();
@@ -293,6 +294,7 @@ mod tests {
 
     #[test]
     fn figure1_parallel() {
+        let _cache = crate::pool::tests::cache_guard();
         let (g, ids) = figure1_ids();
         let (r, stats) = solve::<Normalized>(&g, 2, 2).unwrap();
         assert_eq!(r.order, vec![ids.b, ids.d]);
@@ -304,6 +306,7 @@ mod tests {
 
     #[test]
     fn work_stats_are_balanced_on_uniform_graphs() {
+        let _cache = crate::pool::tests::cache_guard();
         let g = random_graph(200, 11);
         let (_, stats) = solve::<Independent>(&g, 20, 4).unwrap();
         assert_eq!(stats.per_thread_ops.len(), 4);
@@ -327,6 +330,7 @@ mod tests {
 
     #[test]
     fn sequential_solves_reuse_the_shared_pool() {
+        let _cache = crate::pool::tests::cache_guard();
         let g = random_graph(60, 5);
         // Materialize the pool for this thread count, then prove two
         // back-to-back solves neither rebuild it nor grow the cache.
@@ -344,6 +348,7 @@ mod tests {
 
     #[test]
     fn more_threads_than_nodes() {
+        let _cache = crate::pool::tests::cache_guard();
         let (g, _) = figure1_ids();
         let (r, stats) = solve::<Normalized>(&g, 2, 16).unwrap();
         assert!((r.cover - 0.873).abs() < 1e-9);

@@ -154,10 +154,7 @@ pub fn spec() -> SolverSpec {
         "partitioned",
         Algorithm::Partitioned,
         "Component-partitioned greedy: per-island lazy solves merged exactly by gain",
-        SolverCaps {
-            supports_threads: true,
-            ..SolverCaps::default()
-        },
+        SolverCaps::default(),
         |v, g, k, ctx| Partitioned.dispatch(v, g, k, ctx),
     )
 }

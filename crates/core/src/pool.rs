@@ -9,9 +9,9 @@
 //!
 //! Sharing a pool cannot perturb solver output: the parallel solvers gather
 //! per-chunk results into slot-indexed collections and reduce them
-//! sequentially (see `parallel.rs` and `delta.rs`), so the answer is a pure
-//! function of the chunk boundaries, never of which worker ran a chunk or
-//! in what order. `WorkStats` attribution is by chunk slot for the same
+//! sequentially (see `parallel.rs` and `partitioned.rs`), so the answer is
+//! a pure function of the chunk boundaries, never of which worker ran a
+//! chunk or in what order. `WorkStats` attribution is by chunk slot for the same
 //! reason, so it is also unaffected by pool reuse.
 
 use std::collections::HashMap;
@@ -74,11 +74,23 @@ pub fn cached_pool_count() -> usize {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Serializes the tests that may add a thread count to the process-wide
+    /// cache with the tests that count its entries. The harness runs tests
+    /// on several threads, so a count could otherwise include the first
+    /// pool another test builds at a new thread count. Every test in this
+    /// crate that solves on a pool takes the guard.
+    pub(crate) fn cache_guard() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
 
     #[test]
     fn same_thread_count_returns_the_same_pool() {
+        let _cache = cache_guard();
         let a = shared_pool(3).expect("pool builds");
         let b = shared_pool(3).expect("pool builds");
         assert!(
@@ -89,6 +101,7 @@ mod tests {
 
     #[test]
     fn distinct_thread_counts_get_distinct_pools() {
+        let _cache = cache_guard();
         let a = shared_pool(2).expect("pool builds");
         let b = shared_pool(5).expect("pool builds");
         assert!(!Arc::ptr_eq(&a, &b));
@@ -109,6 +122,7 @@ mod tests {
 
     #[test]
     fn racing_first_requests_converge_on_one_pool() {
+        let _cache = cache_guard();
         // Regression for the build-outside-the-lock miss path: when many
         // threads race the first request at a count, the insert-or-race
         // re-check must hand every caller the same cached pool (losers drop

@@ -21,8 +21,6 @@ pub enum Algorithm {
     LazyGreedy,
     /// Delta greedy: cached gains refreshed through a dirty set.
     DeltaGreedy,
-    /// Delta greedy with the dirty-set refresh chunked over a thread pool.
-    DeltaParallelGreedy,
     /// Rayon-parallel greedy.
     ParallelGreedy,
     /// Component-partitioned greedy (per-component lazy + exact k-way
@@ -55,7 +53,6 @@ impl Algorithm {
             Algorithm::Greedy => "Greedy",
             Algorithm::LazyGreedy => "Greedy(lazy)",
             Algorithm::DeltaGreedy => "Greedy(delta)",
-            Algorithm::DeltaParallelGreedy => "Greedy(delta-par)",
             Algorithm::ParallelGreedy => "Greedy(par)",
             Algorithm::Partitioned => "Greedy(part)",
             Algorithm::BruteForce => "BF",
@@ -72,11 +69,10 @@ impl Algorithm {
     /// Every algorithm, in the canonical presentation order. The solver
     /// registry's conformance suite checks each is produced by a registered
     /// spec, so this list cannot drift from the dispatchable set.
-    pub const ALL: [Algorithm; 14] = [
+    pub const ALL: [Algorithm; 13] = [
         Algorithm::Greedy,
         Algorithm::LazyGreedy,
         Algorithm::DeltaGreedy,
-        Algorithm::DeltaParallelGreedy,
         Algorithm::ParallelGreedy,
         Algorithm::Partitioned,
         Algorithm::BruteForce,
@@ -98,7 +94,6 @@ impl Algorithm {
             Algorithm::Greedy => "greedy",
             Algorithm::LazyGreedy => "lazy",
             Algorithm::DeltaGreedy => "delta",
-            Algorithm::DeltaParallelGreedy => "delta-parallel",
             Algorithm::ParallelGreedy => "parallel",
             Algorithm::Partitioned => "partitioned",
             Algorithm::BruteForce => "bf",

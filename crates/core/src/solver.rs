@@ -178,7 +178,7 @@ impl<W: Write> Observer for ProgressObserver<W> {
 }
 
 /// Uniform construction parameters for every registered solver. Each solver
-/// reads only the fields it needs (see [`SolverCaps`] for which).
+/// reads only the fields it needs; each field's doc names its readers.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SolverConfig {
     /// Worker threads for parallel solvers.
@@ -358,13 +358,16 @@ impl VariantSupport {
 }
 
 /// Capability flags of a registered solver, used by callers to decide what
-/// configuration matters and what output shape to expect.
+/// output shape to expect and what one stored report may answer.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SolverCaps {
-    /// Reads [`SolverConfig::threads`].
-    pub supports_threads: bool,
-    /// Reads [`SolverConfig::seed`] (output depends on it).
-    pub needs_seed: bool,
+    /// The output is a prefix chain (the paper's incremental property,
+    /// §3.2): the first `k'` selections of a budget-`k` report are the
+    /// budget-`k'` report, bit for bit, for every `k' ≤ k`. So one stored
+    /// report answers every smaller budget and, at full budget, every
+    /// cover threshold. `false` for solvers whose selections depend on `k`
+    /// itself or that optimize the set as a whole.
+    pub prefix_chain: bool,
     /// Returns the exact optimum (subject to its size limits).
     pub exact: bool,
     /// Always returns exactly `k` items; `false` for solvers that may
@@ -377,8 +380,7 @@ pub struct SolverCaps {
 impl Default for SolverCaps {
     fn default() -> Self {
         Self {
-            supports_threads: false,
-            needs_seed: false,
+            prefix_chain: false,
             exact: false,
             fills_budget: true,
             variants: VariantSupport::Both,
@@ -539,7 +541,6 @@ impl Registry {
             crate::greedy::low_memory_spec(),
             crate::lazy::spec(),
             crate::delta::spec(),
-            crate::delta::parallel_spec(),
             crate::parallel::spec(),
             crate::partitioned::spec(),
             crate::brute_force::spec(),

@@ -169,10 +169,7 @@ pub fn spec() -> SolverSpec {
         "stochastic",
         Algorithm::StochasticGreedy,
         "Stochastic greedy: sampled candidate scans, 1-1/e-eps in expectation, k-independent work",
-        SolverCaps {
-            needs_seed: true,
-            ..SolverCaps::default()
-        },
+        SolverCaps::default(),
         |v, g, k, ctx| {
             let opts = StochasticOptions {
                 epsilon: ctx.config.epsilon.unwrap_or(0.05),

@@ -3,7 +3,7 @@
 //!
 //! For a grid of seeds × cover model (IPC, NPC) × budget `k`, the parallel
 //! solver (across several thread counts), the partitioned solver, and the
-//! delta solvers (sequential and chunked-parallel) must
+//! delta solver (cold, and as a warm repair after a graph delta) must
 //! return **bit-identical** output to sequential greedy: same retained set
 //! in the same selection order, the same cover to the last mantissa bit,
 //! and the same per-step trajectory. Any drift — a changed tie-break, a
@@ -18,7 +18,7 @@
 use rand::{RngExt, SeedableRng};
 
 use pcover_core::{
-    delta, greedy, parallel, partitioned, Algorithm, CoverModel, Independent, Normalized, SolveCtx,
+    delta, greedy, parallel, partitioned, CoverModel, Independent, Normalized, SolveCtx,
     SolveReport, WarmState,
 };
 use pcover_graph::delta::{apply, Change, GraphDelta};
@@ -115,14 +115,6 @@ fn run_grid<M: CoverModel>(model_name: &str, g: &PreferenceGraph, graph_name: &s
             &del,
             &format!("{graph_name} {model_name} k={k} delta"),
         );
-        for threads in THREADS {
-            let dpar = delta::parallel_solve::<M>(g, k, threads).expect("delta-parallel greedy");
-            assert_bit_identical(
-                &seq,
-                &dpar,
-                &format!("{graph_name} {model_name} k={k} delta-parallel threads={threads}"),
-            );
-        }
     }
 }
 
@@ -174,15 +166,8 @@ fn run_warm_grid<M: CoverModel>(
         let warm_state = WarmState::capture::<M>(g, &before.order);
         let cold = delta::solve::<M>(&g2, k).expect("cold post-delta solve");
         let mut ctx = SolveCtx::default();
-        let warm = delta::resolve_warm::<M>(
-            &g2,
-            k,
-            &touched,
-            &warm_state,
-            Algorithm::DeltaGreedy,
-            &mut ctx,
-        )
-        .expect("warm re-solve");
+        let warm = delta::resolve_warm::<M>(&g2, k, &touched, &warm_state, &mut ctx)
+            .expect("warm re-solve");
         let label = format!("{ctx_name} {model_name} k={k} warm-vs-cold");
         assert_bit_identical(&cold, &warm.report, &label);
         assert_eq!(
@@ -220,10 +205,9 @@ fn uniform_ring(n: usize) -> PreferenceGraph {
     b.build().expect("valid graph")
 }
 
-/// The tie axis on one ring: for every `k` in `0..=n`, delta greedy
-/// (sequential, and chunked at several thread counts) and the warm repair
-/// (nothing touched, and after one edge upsert) must equal plain greedy
-/// bit for bit.
+/// The tie axis on one ring: for every `k` in `0..=n`, delta greedy and
+/// the warm repair (nothing touched, and after one edge upsert) must equal
+/// plain greedy bit for bit.
 fn run_tie_grid<M: CoverModel>(model_name: &str, n: usize) {
     let g = uniform_ring(n);
     // One edge upsert: a chord out of node 0 (for n = 2, a reweight of the
@@ -243,36 +227,15 @@ fn run_tie_grid<M: CoverModel>(model_name: &str, n: usize) {
         let seq = greedy::solve::<M>(&g, k).expect("sequential greedy");
         let del = delta::solve::<M>(&g, k).expect("delta greedy");
         assert_bit_identical(&seq, &del, &format!("{label} delta"));
-        for threads in [1, 2, 4, 7] {
-            let dpar = delta::parallel_solve::<M>(&g, k, threads).expect("delta-parallel greedy");
-            assert_bit_identical(
-                &seq,
-                &dpar,
-                &format!("{label} delta-parallel threads={threads}"),
-            );
-        }
         let warm_state = WarmState::capture::<M>(&g, &seq.order);
-        let warm = delta::resolve_warm::<M>(
-            &g,
-            k,
-            &[],
-            &warm_state,
-            Algorithm::DeltaGreedy,
-            &mut SolveCtx::default(),
-        )
-        .expect("warm re-solve, nothing touched");
+        let warm = delta::resolve_warm::<M>(&g, k, &[], &warm_state, &mut SolveCtx::default())
+            .expect("warm re-solve, nothing touched");
         assert_bit_identical(&seq, &warm.report, &format!("{label} warm untouched"));
         if let Some((g2, touched)) = &edited {
             let seq2 = greedy::solve::<M>(g2, k).expect("sequential greedy after upsert");
-            let warm2 = delta::resolve_warm::<M>(
-                g2,
-                k,
-                touched,
-                &warm_state,
-                Algorithm::DeltaGreedy,
-                &mut SolveCtx::default(),
-            )
-            .expect("warm re-solve after upsert");
+            let warm2 =
+                delta::resolve_warm::<M>(g2, k, touched, &warm_state, &mut SolveCtx::default())
+                    .expect("warm re-solve after upsert");
             assert_bit_identical(&seq2, &warm2.report, &format!("{label} warm after upsert"));
         }
     }

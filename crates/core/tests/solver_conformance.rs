@@ -3,13 +3,16 @@
 //! report invariants. Because the suite iterates [`Registry::builtin`]
 //! instead of naming solvers, a newly registered solver is covered
 //! automatically — and a solver that silently drops out of the registry
-//! fails the enum cross-check below.
+//! fails the enum cross-check below. The warm rows do the same for every
+//! spec with a warm-start entry point.
 
 use rand::{RngExt, SeedableRng};
 
 use pcover_core::{
-    Algorithm, Registry, SolveCtx, SolveError, SolverConfig, TraceObserver, Variant,
+    Algorithm, Registry, SolveCtx, SolveError, SolverConfig, SolverSpec, TraceObserver, Variant,
+    WarmState,
 };
+use pcover_graph::delta::{apply, Change, GraphDelta};
 use pcover_graph::{GraphBuilder, ItemId, PreferenceGraph};
 
 const SEEDS: [u64; 3] = [0, 7, 42];
@@ -205,14 +208,7 @@ fn live_solvers_abort_mid_solve_when_cancelled_after_first_selection() {
     let registry = Registry::builtin();
     let g = random_graph(24, 4);
     let k = 6;
-    for name in [
-        "greedy",
-        "lazy",
-        "delta",
-        "delta-parallel",
-        "parallel",
-        "stochastic",
-    ] {
+    for name in ["greedy", "lazy", "delta", "parallel", "stochastic"] {
         let spec = registry.get(name).unwrap_or_else(|| {
             panic!("{name} must be registered");
         });
@@ -237,6 +233,144 @@ fn live_solvers_abort_mid_solve_when_cancelled_after_first_selection() {
             spec.solve(Variant::Normalized, &g, k, &mut ctx).is_ok(),
             "{name}: solver must be reusable after a cancelled run"
         );
+    }
+}
+
+/// A seeded graph, the same graph after a one-edge upsert, and the upsert's
+/// touched frontier. The upsert reweights the first edge to 0.125, so every
+/// out-weight sum stays at most 1 and both variants remain exact.
+fn upserted(seed: u64) -> (PreferenceGraph, PreferenceGraph, Vec<ItemId>) {
+    let g = random_graph(24, seed);
+    let (source, target) = g
+        .node_ids()
+        .find_map(|v| g.out_edges(v).next().map(|(t, _)| (v, t)))
+        .expect("the graph has an edge");
+    let delta = GraphDelta::new().push(Change::UpsertEdge {
+        source,
+        target,
+        weight: 0.125,
+    });
+    let g2 = apply(&g, &delta).expect("the upsert applies");
+    let touched = delta.touched_nodes(&g);
+    assert!(!touched.is_empty(), "the upsert must change the graph");
+    (g, g2, touched)
+}
+
+/// A warm state for `spec` under `variant`: its own budget-`k` order on the
+/// pre-delta graph.
+fn warm_state(spec: &SolverSpec, variant: Variant, g: &PreferenceGraph, k: usize) -> WarmState {
+    let before = spec
+        .solve(variant, g, k, &mut SolveCtx::new(SolverConfig::default()))
+        .unwrap_or_else(|e| panic!("{}/{variant:?} k={k} pre-delta solve: {e}", spec.name));
+    WarmState::capture_variant(variant, g, &before.order)
+}
+
+#[test]
+fn every_warm_solver_repairs_bit_identically_and_streams_its_rounds() {
+    let registry = Registry::builtin();
+    let warm_specs: Vec<_> = registry
+        .specs()
+        .iter()
+        .filter(|s| s.supports_warm_start())
+        .collect();
+    assert!(!warm_specs.is_empty(), "no warm-capable solver registered");
+    for seed in SEEDS {
+        let (g, g2, touched) = upserted(seed);
+        let n = g2.node_count();
+        for spec in &warm_specs {
+            for variant in [Variant::Independent, Variant::Normalized] {
+                if !spec.caps.variants.supports(variant) {
+                    continue;
+                }
+                for k in [1, n / 4, n] {
+                    let label = format!("{}/{variant:?} seed {seed} k={k}", spec.name);
+                    let warm = warm_state(spec, variant, &g, k);
+                    let cold = spec
+                        .solve(variant, &g2, k, &mut SolveCtx::new(SolverConfig::default()))
+                        .unwrap_or_else(|e| panic!("{label}: cold solve failed: {e}"));
+                    let mut trace = TraceObserver::new();
+                    let mut ctx = SolveCtx::with_observer(SolverConfig::default(), &mut trace);
+                    let out = spec
+                        .solve_warm(variant, &g2, k, &touched, &warm, &mut ctx)
+                        .unwrap_or_else(|e| panic!("{label}: repair failed: {e}"));
+
+                    assert!(
+                        out.report.bit_identical_to(&cold),
+                        "{label}: repair differs from the cold solve"
+                    );
+                    assert_eq!(
+                        out.report.algorithm, spec.algorithm,
+                        "{label}: algorithm tag"
+                    );
+                    assert_eq!(
+                        out.rounds_reused + out.rounds_repaired,
+                        k,
+                        "{label}: reused and repaired rounds must partition k"
+                    );
+
+                    let items: Vec<ItemId> = trace.events.iter().map(|e| e.item).collect();
+                    assert_eq!(items, out.report.order, "{label}: observed items");
+                    let covers: Vec<u64> = trace.events.iter().map(|e| e.cover.to_bits()).collect();
+                    let trajectory: Vec<u64> =
+                        out.report.trajectory.iter().map(|c| c.to_bits()).collect();
+                    assert_eq!(covers, trajectory, "{label}: observed covers");
+                    let evals: u64 = trace.rounds.iter().map(|r| r.gain_evaluations).sum();
+                    assert_eq!(
+                        (trace.rounds.len(), evals),
+                        (k, out.report.gain_evaluations),
+                        "{label}: one round record per selection, summing to the report's evals"
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn every_warm_solver_stops_when_cancelled_and_repairs_afterwards() {
+    let registry = Registry::builtin();
+    let (g, g2, touched) = upserted(5);
+    let n = g2.node_count();
+    for spec in registry.specs().iter().filter(|s| s.supports_warm_start()) {
+        for variant in [Variant::Independent, Variant::Normalized] {
+            if !spec.caps.variants.supports(variant) {
+                continue;
+            }
+            for k in [1, n / 4, n] {
+                let warm = warm_state(spec, variant, &g, k);
+                // Cancelled up front, and after the first selection when a
+                // second round is left to stop (at k = 1 the repair is done).
+                for after in (0..2).filter(|&after| after < k) {
+                    let label = format!("{}/{variant:?} k={k} cancel after {after}", spec.name);
+                    let mut obs = CancelAfter {
+                        selections: 0,
+                        after,
+                    };
+                    let mut ctx = SolveCtx::with_observer(SolverConfig::default(), &mut obs);
+                    let result = spec.solve_warm(variant, &g2, k, &touched, &warm, &mut ctx);
+                    assert!(
+                        matches!(result, Err(SolveError::Cancelled)),
+                        "{label}: expected Cancelled, got {result:?}"
+                    );
+                    assert_eq!(
+                        obs.selections, after,
+                        "{label}: the repair must stop at the first poll after the signal"
+                    );
+                    let again = spec.solve_warm(
+                        variant,
+                        &g2,
+                        k,
+                        &touched,
+                        &warm,
+                        &mut SolveCtx::new(SolverConfig::default()),
+                    );
+                    assert!(
+                        again.is_ok(),
+                        "{label}: the spec must repair after a cancelled run, got {again:?}"
+                    );
+                }
+            }
+        }
     }
 }
 

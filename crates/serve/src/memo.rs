@@ -6,13 +6,14 @@
 //! the budget: the registry solver, the cover variant and the
 //! [`SolverConfig`] fingerprint. Each lineage's entry holds
 //!
-//! * its **ready** reports by `(generation, k)`. Reports of prefix-chain
-//!   solvers (`PREFIX_CHAIN_SOLVERS`) are incremental (paper §3.2): the
-//!   first `k'` selections of a budget-`k` run are the budget-`k'` answer,
-//!   so one stored report answers every `k' ≤ k` and, at full budget,
-//!   every `/minimize` threshold. Stochastic, sieve and brute-force
-//!   outputs depend on `k` itself and only ever answer their exact key.
-//!   `capacity` bounds the reports of all lineages together (LRU).
+//! * its **ready** reports by `(generation, k)`. Reports of the solvers
+//!   flagged [`prefix_chain`](pcover_core::SolverCaps::prefix_chain) are
+//!   incremental (paper §3.2): the first `k'` selections of a budget-`k`
+//!   run are the budget-`k'` answer, so one stored report answers every
+//!   `k' ≤ k` and, at full budget, every `/minimize` threshold.
+//!   Stochastic, sieve and brute-force outputs depend on `k` itself and
+//!   only ever answer their exact key. `capacity` bounds the reports of
+//!   all lineages together (LRU).
 //! * its **running** solves by `(generation, k, deadline bucket)`, each
 //!   with a count of parked waiters: the first request for a key leads
 //!   and solves, later ones park and share the leader's result, so N
@@ -65,30 +66,6 @@ fn fingerprint(config: &SolverConfig) -> u64 {
     h.update(&(config.max_swaps as u64).to_le_bytes());
     h.update(&config.max_subsets.to_le_bytes());
     h.finish()
-}
-
-/// The solvers whose budget-`k` report is a prefix chain: its first `k'`
-/// selections equal its budget-`k'` report for every `k' ≤ k`.
-///
-/// The greedy family (the paper's incremental property) and the sorted
-/// top-k baselines. Not the solvers whose per-round behaviour depends on
-/// `k` (stochastic sampling rates, sieve thresholds, partitioned merge
-/// budgets) or that optimize the set as a whole (brute force, local
-/// search, random best-of, the VC reduction).
-const PREFIX_CHAIN_SOLVERS: [&str; 8] = [
-    "greedy",
-    "greedy-lowmem",
-    "lazy",
-    "parallel",
-    "delta",
-    "delta-parallel",
-    "topk-w",
-    "topk-c",
-];
-
-/// Whether `solver` is one of [`PREFIX_CHAIN_SOLVERS`].
-pub(crate) fn is_prefix_reusable(solver: &str) -> bool {
-    PREFIX_CHAIN_SOLVERS.contains(&solver)
 }
 
 /// How a request was answered.
@@ -144,7 +121,7 @@ pub struct Lineage {
 impl Lineage {
     /// The lineage of solving with `spec` under `variant` and `config`.
     pub fn new(spec: &SolverSpec, variant: Variant, config: &SolverConfig) -> Self {
-        let prefix_chain = is_prefix_reusable(spec.name);
+        let prefix_chain = spec.caps.prefix_chain;
         Self {
             solver: spec.name,
             variant,
@@ -976,14 +953,33 @@ mod tests {
         assert_eq!(fingerprint(&a), fingerprint(&SolverConfig::default()));
     }
 
-    /// The prefix-chain list is what lets one cached report answer smaller
-    /// budgets and every `/minimize`, so each listed solver must truncate
+    /// The prefix-chain flag is what lets one cached report answer smaller
+    /// budgets and every `/minimize`, so each flagged solver must truncate
     /// exactly: `solve(k).prefix(k')` is `solve(k')` bit for bit, in order
     /// and cover, on every variant it supports.
     #[test]
     fn every_prefix_chain_solver_is_registered_and_truncates_exactly() {
         const K: usize = 16;
         let registry = Registry::builtin();
+        let flagged: Vec<_> = registry
+            .specs()
+            .iter()
+            .filter(|s| s.caps.prefix_chain)
+            .collect();
+        let names: Vec<&str> = flagged.iter().map(|s| s.name).collect();
+        assert_eq!(
+            names,
+            [
+                "greedy",
+                "greedy-lowmem",
+                "lazy",
+                "delta",
+                "parallel",
+                "topk-w",
+                "topk-c"
+            ],
+            "the greedy family and the sorted top-k baselines are the prefix chains"
+        );
         let g =
             pcover_datagen::graphgen::generate_graph(&pcover_datagen::graphgen::GraphGenConfig {
                 nodes: 300,
@@ -994,10 +990,8 @@ mod tests {
                 seed: 11,
             })
             .expect("generated graph");
-        for name in PREFIX_CHAIN_SOLVERS {
-            let spec = registry
-                .get(name)
-                .unwrap_or_else(|| panic!("prefix-chain solver '{name}' is not registered"));
+        for spec in flagged {
+            let name = spec.name;
             for variant in [Variant::Independent, Variant::Normalized] {
                 if !spec.caps.variants.supports(variant) {
                     continue;

@@ -42,7 +42,7 @@ use pcover_graph::delta::GraphDelta;
 use pcover_graph::PreferenceGraph;
 
 use crate::http::{write_json, write_response, ConnBuffer, HttpError, Request, Status};
-use crate::memo::{is_prefix_reusable, CacheOutcome, Lineage, Lookup, Memo};
+use crate::memo::{CacheOutcome, Lineage, Lookup, Memo};
 use crate::metrics::Metrics;
 use crate::queue::WorkQueue;
 use crate::snapshot::SnapshotManager;
@@ -746,7 +746,7 @@ fn minimize_endpoint(req: &Request, state: &AppState) -> Result<String, (Status,
             format!("threshold {threshold} is not a probability in [0, 1]"),
         ));
     }
-    if !is_prefix_reusable(params.spec.name) {
+    if !params.spec.caps.prefix_chain {
         return Err((
             Status::BadRequest,
             format!(

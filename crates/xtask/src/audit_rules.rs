@@ -146,9 +146,8 @@ pub(crate) const DISPATCH_MODULES: [&str; 11] = [
 /// the same modules (`brute_force::subset_count`, `evaluate_selection`, the
 /// extension solvers) are utilities the registry deliberately does not
 /// wrap, and stay callable.
-const DISPATCH_FNS: [&str; 9] = [
+const DISPATCH_FNS: [&str; 8] = [
     "solve",
-    "parallel_solve",
     "refine",
     "top_k_weight",
     "top_k_coverage",

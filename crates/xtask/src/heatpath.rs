@@ -71,12 +71,10 @@ pub const KERNEL_FILES: [&str; 3] = [
 /// Solve-family function names that seed the hot set when they live in a
 /// solver module: the registry dispatch surface ([`DISPATCH_FNS`]'s names)
 /// plus the `_with`/`_impl` internals the specs delegate to.
-const HOT_SOLVER_FNS: [&str; 12] = [
+const HOT_SOLVER_FNS: [&str; 10] = [
     "solve",
     "solve_with",
     "solve_impl",
-    "parallel_solve",
-    "parallel_solve_with",
     "refine",
     "top_k_weight",
     "top_k_coverage",
