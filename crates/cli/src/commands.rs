@@ -43,7 +43,6 @@ pub fn run_with_registry(args: &Args, registry: &Registry) -> Result<String, Cli
         "closure" => closure_cmd(args),
         "delta" => delta_cmd(args),
         "serve" => serve_cmd(args),
-        "loadgen" => loadgen_cmd(args),
         "convert" => convert_cmd(args),
         "probe" => probe_cmd(args),
         "gen-graph" => gen_graph_cmd(args),
@@ -131,18 +130,6 @@ SUBCOMMANDS
             overrunning solves (504). Connections are persistent
             (HTTP/1.1 keep-alive) and identical concurrent solves
             coalesce into one run.
-  loadgen   [--addr HOST:PORT] [--nodes 20000] [--degree 8] [--seed 42]
-            [--connections 8] [--requests 4000] [--k-max 64] [--zipf 1.0]
-            [--mix solve=6,cover=3,minimize=1] [--deltas 0] [--pr 10]
-            [--out BENCH_SERVE_10.json] [--min-speedup 2.0]
-            [--p999-budget-ms MS] [--smoke]
-            Replay a seeded zipfian request mix twice — keep-alive vs one
-            connection per request — and write a pcover-bench-serve/1
-            snapshot with throughput and exact p50/p99/p999 per phase.
-            Self-hosts a synthetic-graph server unless --addr points at a
-            running one; --deltas interleaves admin mutations. Fails
-            unless keep-alive is >= --min-speedup x faster with zero
-            errors (--smoke: 400 requests, 1.5x, 250 ms p999 budget).
 ";
 
 /// Usage text for the built-in registry.
@@ -460,260 +447,6 @@ fn serve_cmd(args: &Args) -> Result<String, CliError> {
     );
     handle.join();
     Ok(format!("server on {addr} shut down\n"))
-}
-
-/// Schema tag written into every `loadgen` snapshot; bump only with a
-/// migration note in the README.
-const BENCH_SERVE_SCHEMA: &str = "pcover-bench-serve/1";
-
-/// `pcover loadgen`: replay a seeded request mix against a server twice —
-/// once over persistent keep-alive connections, once opening a fresh
-/// connection per request — and write a `pcover-bench-serve/1` snapshot
-/// with throughput and exact p50/p99/p999 latencies per phase. Fails (after
-/// writing the snapshot) unless keep-alive clears the `--min-speedup`
-/// throughput gate with zero request errors.
-fn loadgen_cmd(args: &Args) -> Result<String, CliError> {
-    use pcover_datagen::graphgen::{generate_graph, GraphGenConfig};
-    use pcover_datagen::sampling::{zipf_weights, AliasTable};
-    use pcover_serve::loadgen::{run_phase, LoadClient, PhaseSummary, PlannedRequest};
-    use rand::{RngExt, SeedableRng};
-    use std::net::ToSocketAddrs;
-
-    let smoke = args.flag("smoke");
-    let seed: u64 = args.parse_or("seed", 42)?;
-    let pr: u64 = args.parse_or("pr", 10)?;
-    let nodes: usize = args.parse_or("nodes", 20_000)?;
-    let degree: usize = args.parse_or("degree", 8)?;
-    let connections: usize = args.parse_or("connections", 8)?;
-    let requests: usize = args.parse_or("requests", if smoke { 400 } else { 4_000 })?;
-    let k_max: usize = args.parse_or("k-max", 64)?;
-    let zipf_s: f64 = args.parse_or("zipf", 1.0)?;
-    let deltas: usize = args.parse_or("deltas", 0)?;
-    let mix_raw = args.optional("mix").unwrap_or("solve=6,cover=3,minimize=1");
-    let min_speedup: f64 = args.parse_or("min-speedup", if smoke { 1.5 } else { 2.0 })?;
-    let p999_budget_ms: f64 =
-        args.parse_or("p999-budget-ms", if smoke { 250.0 } else { f64::INFINITY })?;
-    let out = args.optional("out").unwrap_or(if smoke {
-        "BENCH_SERVE_smoke.json"
-    } else {
-        "BENCH_SERVE_10.json"
-    });
-    if connections == 0 || requests == 0 || k_max == 0 {
-        return Err(CliError(
-            "--connections, --requests and --k-max must be at least 1".into(),
-        ));
-    }
-
-    // Endpoint mix, e.g. "solve=6,cover=3,minimize=1".
-    let mut mix: Vec<(&str, u64)> = Vec::new();
-    for part in mix_raw.split(',') {
-        let (name, weight) = part.split_once('=').ok_or_else(|| {
-            CliError(format!(
-                "bad --mix entry {part:?}; use e.g. solve=6,cover=3,minimize=1"
-            ))
-        })?;
-        if !matches!(name, "solve" | "cover" | "minimize") {
-            return Err(CliError(format!(
-                "unknown --mix endpoint {name:?}; use solve, cover or minimize"
-            )));
-        }
-        let weight: u64 = weight
-            .parse()
-            .map_err(|_| CliError(format!("bad --mix weight in {part:?}")))?;
-        mix.push((name, weight));
-    }
-    let mix_total: u64 = mix.iter().map(|(_, w)| w).sum();
-    if mix_total == 0 {
-        return Err(CliError("--mix weights sum to zero".into()));
-    }
-
-    // Target: an external server (`--addr`, e.g. the CI smoke job) or a
-    // self-hosted one on an ephemeral port over a seeded synthetic graph.
-    let (addr, handle, profile) = match args.optional("addr") {
-        Some(raw) => {
-            let addr = raw
-                .to_socket_addrs()
-                .map_err(CliError::from_display)?
-                .next()
-                .ok_or_else(|| CliError(format!("--addr {raw:?} resolves to nothing")))?;
-            (addr, None, format!("external:{raw}"))
-        }
-        None => {
-            let g = generate_graph(&GraphGenConfig {
-                nodes,
-                avg_out_degree: degree,
-                normalized: true,
-                seed,
-                ..GraphGenConfig::default()
-            })
-            .map_err(CliError::from_display)?;
-            let handle = pcover_serve::Server::start(
-                g,
-                pcover_serve::ServerConfig {
-                    addr: "127.0.0.1:0".to_owned(),
-                    workers: 8,
-                    queue_capacity: 256,
-                    cache_capacity: 1024,
-                    ..pcover_serve::ServerConfig::default()
-                },
-            )
-            .map_err(CliError::from_display)?;
-            let addr = handle.addr();
-            (addr, Some(handle), format!("self-hosted:{nodes}x{degree}"))
-        }
-    };
-
-    // The seeded plan, built once and replayed identically by both phases:
-    // zipfian budgets k in 1..=k_max, the endpoint mix above, and (with
-    // --deltas) admin mutations interleaved at a fixed stride.
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let k_table = AliasTable::new(&zipf_weights(k_max, zipf_s));
-    let thresholds = [0.5, 0.7, 0.8, 0.9];
-    let delta_every = match requests.checked_div(deltas) {
-        Some(stride) => stride.max(1),
-        None => usize::MAX,
-    };
-    let mut plans: Vec<Vec<PlannedRequest>> = vec![Vec::new(); connections];
-    for i in 0..requests {
-        let planned = if deltas > 0 && i % delta_every == delta_every - 1 {
-            let node = rng.random_range(0..nodes);
-            let weight = 0.1 + 0.8 * rng.random::<f64>();
-            PlannedRequest::post(
-                "/admin/delta".to_owned(),
-                format!(
-                    r#"{{"changes":[{{"SetNodeWeight":{{"node":{node},"weight":{weight}}}}}]}}"#
-                ),
-            )
-        } else {
-            let k = k_table.sample(&mut rng) + 1;
-            let mut pick = rng.random_range(0..mix_total);
-            let mut endpoint = mix[mix.len() - 1].0;
-            for &(name, weight) in &mix {
-                if pick < weight {
-                    endpoint = name;
-                    break;
-                }
-                pick -= weight;
-            }
-            match endpoint {
-                "solve" => PlannedRequest::get(format!("/solve?k={k}")),
-                "cover" => PlannedRequest::get(format!("/cover?k={k}")),
-                _ => {
-                    let t = thresholds[rng.random_range(0..thresholds.len())];
-                    PlannedRequest::get(format!("/minimize?threshold={t}"))
-                }
-            }
-        };
-        plans[i % connections].push(planned);
-    }
-
-    // Warm-up: touch every distinct read query once so both timed phases
-    // measure steady-state serving — the comparison is connection reuse,
-    // not who pays the cold solves.
-    {
-        let mut warm = LoadClient::new(addr, true);
-        let mut seen = std::collections::HashSet::new();
-        for planned in plans.iter().flatten() {
-            if planned.method == "GET" && seen.insert(planned.target.clone()) {
-                warm.request(planned).map_err(CliError::from_display)?;
-            }
-        }
-    }
-
-    let keepalive = run_phase(addr, true, &plans);
-    let close = run_phase(addr, false, &plans);
-    let speedup = if close.throughput_rps > 0.0 {
-        keepalive.throughput_rps / close.throughput_rps
-    } else {
-        0.0
-    };
-
-    // Scrape the coalescing counter before tearing the server down.
-    let coalesced_hits = {
-        let mut probe = LoadClient::new(addr, false);
-        let resp = probe.fetch("/metrics").map_err(CliError::from_display)?;
-        resp.body
-            .lines()
-            .find_map(|l| l.strip_prefix("coalesced_hits "))
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .unwrap_or(0)
-    };
-    if let Some(handle) = handle {
-        handle.shutdown();
-        handle.join();
-    }
-
-    fn phase_json(mode: &str, p: &PhaseSummary) -> serde_json::Value {
-        serde_json::json!({
-            "mode": mode,
-            "requests": p.requests,
-            "errors": p.errors,
-            "wall_ms": p.wall.as_secs_f64() * 1e3,
-            "throughput_rps": p.throughput_rps,
-            "p50_ms": p.p50_ms,
-            "p99_ms": p.p99_ms,
-            "p999_ms": p.p999_ms,
-        })
-    }
-    let snapshot = serde_json::json!({
-        "schema": BENCH_SERVE_SCHEMA,
-        "pr": pr,
-        "seed": seed,
-        "profile": profile,
-        "connections": connections,
-        "requests": requests,
-        "mix": mix_raw,
-        "zipf_s": zipf_s,
-        "k_max": k_max,
-        "deltas": deltas,
-        "phases": serde_json::Value::Array(vec![
-            phase_json("keepalive", &keepalive),
-            phase_json("close", &close),
-        ]),
-        "speedup": speedup,
-        "coalesced_hits": coalesced_hits,
-    });
-    let json = serde_json::to_string_pretty(&snapshot).map_err(CliError::from_display)?;
-    std::fs::write(out, json + "\n").map_err(CliError::from_display)?;
-
-    let mut violations = Vec::new();
-    for (mode, p) in [("keepalive", &keepalive), ("close", &close)] {
-        if p.errors > 0 {
-            violations.push(format!(
-                "{} request(s) failed in the {mode} phase",
-                p.errors
-            ));
-        }
-    }
-    if speedup < min_speedup {
-        violations.push(format!(
-            "keep-alive throughput is only {speedup:.2}x connection-per-request \
-             (gate: >= {min_speedup:.2}x)"
-        ));
-    }
-    if keepalive.p999_ms > p999_budget_ms {
-        violations.push(format!(
-            "keep-alive p999 is {:.2} ms, over the {p999_budget_ms:.2} ms budget",
-            keepalive.p999_ms
-        ));
-    }
-    if !violations.is_empty() {
-        return Err(CliError(format!(
-            "serve bench written to {out}, but the serving gates failed:\n  {}",
-            violations.join("\n  ")
-        )));
-    }
-    Ok(format!(
-        "serve bench: {requests} requests x 2 phases over {connections} connections \
-         (seed {seed}, mix {mix_raw}): keep-alive {:.0} rps vs per-request {:.0} rps \
-         = {speedup:.2}x; keep-alive p50/p99/p999 {:.3}/{:.3}/{:.3} ms; \
-         {coalesced_hits} coalesced -> {out}\n",
-        keepalive.throughput_rps,
-        close.throughput_rps,
-        keepalive.p50_ms,
-        keepalive.p99_ms,
-        keepalive.p999_ms,
-    ))
 }
 
 /// `pcover convert <input> <output>`: re-encode a graph between the JSON

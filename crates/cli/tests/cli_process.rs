@@ -40,9 +40,18 @@ fn help_exits_zero_and_lists_subcommands() {
             "export-dot",
             "closure",
             "delta",
+            "serve",
+            "convert",
+            "probe",
+            "gen-graph",
+            "bench-snapshot",
         ] {
             assert!(text.contains(sub), "{args:?} help missing {sub}");
         }
+        assert!(
+            !text.contains("loadgen"),
+            "{args:?} help still names loadgen"
+        );
     }
 }
 
@@ -70,10 +79,16 @@ fn usage_errors_exit_2_with_help_on_stderr() {
 
 #[test]
 fn run_errors_exit_1_with_message_on_stderr() {
-    // Unknown subcommand parses fine but fails dispatch.
-    let out = pcover(&["frobnicate"]);
-    assert_eq!(out.status.code(), Some(1));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown subcommand"));
+    // Unknown subcommands (including the removed `loadgen`) parse fine but
+    // fail dispatch.
+    for sub in ["frobnicate", "loadgen"] {
+        let out = pcover(&[sub]);
+        assert_eq!(out.status.code(), Some(1), "{sub}");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains("unknown subcommand"),
+            "{sub}"
+        );
+    }
 
     // Missing input file.
     let out = pcover(&["stats", "--graph", "/nonexistent/graph.json"]);

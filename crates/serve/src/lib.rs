@@ -45,10 +45,6 @@
 //! * [`metrics::Metrics`] — request/cache/deadline/connection counters and
 //!   per-endpoint latency histograms with p999-resolvable microsecond
 //!   buckets, dumped as plain text on `/metrics`.
-//! * [`loadgen`] — the client-side engine behind `pcover loadgen`:
-//!   keep-alive HTTP client, multi-connection phase runner, and
-//!   exact-percentile latency recording for the `pcover-bench-serve/1`
-//!   snapshot.
 //!
 //! ## Endpoints
 //!
@@ -70,7 +66,6 @@
 #![forbid(unsafe_code)]
 
 pub mod http;
-pub mod loadgen;
 pub mod memo;
 pub mod metrics;
 pub mod queue;
@@ -78,7 +73,6 @@ pub mod server;
 pub mod snapshot;
 mod sync;
 
-pub use loadgen::{LatencyRecorder, LoadClient, PhaseSummary, PlannedRequest};
 pub use memo::{CacheOutcome, Memo};
 pub use queue::WorkQueue;
 pub use server::{DeadlineObserver, Server, ServerConfig, ServerHandle};

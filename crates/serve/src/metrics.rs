@@ -44,33 +44,6 @@ impl EndpointStats {
         self.requests.load(Ordering::Relaxed)
     }
 
-    /// Upper bound (milliseconds) on the latency quantile `q` in `0..=1`:
-    /// the edge of the first bucket at which the cumulative count reaches
-    /// `q` of all requests. `None` with no requests recorded;
-    /// `f64::INFINITY` when the quantile lands in the overflow bucket.
-    /// This is what makes p999 *resolvable* from the histogram — the gate
-    /// `pcover loadgen` needs.
-    pub fn quantile_upper_bound_ms(&self, q: f64) -> Option<f64> {
-        let total = self.requests();
-        if total == 0 {
-            return None;
-        }
-        let needed = (q.clamp(0.0, 1.0) * total as f64).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (i, bucket) in self.buckets.iter().enumerate() {
-            seen += bucket.load(Ordering::Relaxed);
-            if seen >= needed {
-                return Some(
-                    LATENCY_BUCKETS_US
-                        .get(i)
-                        .map(|&edge| edge as f64 / 1e3)
-                        .unwrap_or(f64::INFINITY),
-                );
-            }
-        }
-        Some(f64::INFINITY)
-    }
-
     fn render(&self, name: &str, out: &mut String) {
         use std::fmt::Write;
         let _ = writeln!(out, "endpoint_{name}_requests {}", self.requests());
@@ -250,16 +223,19 @@ mod tests {
     fn histogram_buckets_are_cumulative_by_edge() {
         let stats = EndpointStats::default();
         stats.observe(Duration::from_millis(0));
+        stats.observe(Duration::from_micros(40));
         stats.observe(Duration::from_millis(3));
         stats.observe(Duration::from_millis(40));
+        stats.observe(Duration::from_millis(400));
         stats.observe(Duration::from_secs(60));
-        assert_eq!(stats.requests(), 4);
+        assert_eq!(stats.requests(), 6);
         let mut out = String::new();
         stats.render("t", &mut out);
-        assert!(out.contains("endpoint_t_requests 4"));
-        assert!(out.contains("endpoint_t_latency_ms_le_0.05 1"));
+        assert!(out.contains("endpoint_t_requests 6"));
+        assert!(out.contains("endpoint_t_latency_ms_le_0.05 2"));
         assert!(out.contains("endpoint_t_latency_ms_le_5 1"));
         assert!(out.contains("endpoint_t_latency_ms_le_50 1"));
+        assert!(out.contains("endpoint_t_latency_ms_le_500 1"));
         assert!(out.contains("endpoint_t_latency_ms_le_inf 1"));
     }
 
@@ -286,24 +262,6 @@ mod tests {
                 "new bucket label {label} missing:\n{out}"
             );
         }
-    }
-
-    #[test]
-    fn p999_is_resolvable_from_the_histogram() {
-        let stats = EndpointStats::default();
-        // 999 fast requests and one slow one: p99 must stay at the fast
-        // edge while p999 resolves the slow outlier — the old 10-bucket
-        // millisecond layout lumped everything under 1ms together and
-        // could not tell these apart.
-        for _ in 0..999 {
-            stats.observe(Duration::from_micros(40));
-        }
-        stats.observe(Duration::from_millis(400));
-        assert_eq!(stats.quantile_upper_bound_ms(0.5), Some(0.05));
-        assert_eq!(stats.quantile_upper_bound_ms(0.99), Some(0.05));
-        assert_eq!(stats.quantile_upper_bound_ms(0.999), Some(0.05));
-        assert_eq!(stats.quantile_upper_bound_ms(1.0), Some(500.0));
-        assert_eq!(EndpointStats::default().quantile_upper_bound_ms(0.5), None);
     }
 
     #[test]

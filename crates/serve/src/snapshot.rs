@@ -32,7 +32,7 @@ pub struct Snapshot {
 /// published snapshots, captured as a consistent pair under the writer
 /// lock. Post-swap bookkeeping (solve-cache migration, warm-state harvest)
 /// needs both sides — under concurrent swaps, `current()` called after
-/// [`SnapshotManager::apply_delta`] may already be generations ahead.
+/// [`SnapshotManager::apply_delta_swap`] may already be generations ahead.
 #[derive(Debug)]
 pub struct SwapReceipt {
     /// The generation the delta was applied to.
@@ -98,26 +98,17 @@ impl SnapshotManager {
     }
 
     /// Applies `delta` to the current graph and atomically publishes the
-    /// result as the next generation, returning its number. In-flight
-    /// queries on older generations are unaffected. Writers are serialized;
-    /// building the new graph (a row copy of the CSR arrays, see the module
-    /// docs) happens outside the swap lock.
+    /// result as the next generation, returning the old/new snapshot pair
+    /// the swap moved between. The pair is consistent (`new` directly
+    /// supersedes `old`) even when other writers swap again immediately
+    /// after. In-flight queries on older generations are unaffected.
+    /// Writers are serialized; building the new graph (a row copy of the
+    /// CSR arrays, see the module docs) happens outside the swap lock.
     ///
     /// # Errors
     ///
     /// [`GraphError`] when the delta does not validate against the current
     /// graph; the published snapshot is unchanged in that case.
-    pub fn apply_delta(&self, delta: &GraphDelta) -> Result<u64, GraphError> {
-        self.apply_delta_swap(delta).map(|r| r.new.generation)
-    }
-
-    /// [`Self::apply_delta`], returning the old/new snapshot pair the swap
-    /// moved between. The pair is consistent (`new` directly supersedes
-    /// `old`) even when other writers swap again immediately after.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::apply_delta`].
     pub fn apply_delta_swap(&self, delta: &GraphDelta) -> Result<SwapReceipt, GraphError> {
         let _writer = match self.writer.lock() {
             Ok(g) => g,
@@ -156,8 +147,8 @@ mod tests {
         assert_eq!(before.generation, 1);
 
         let delta = GraphDelta::new().push(Change::Delist { node: ids.d });
-        let gen2 = mgr.apply_delta(&delta).expect("valid delta");
-        assert_eq!(gen2, 2);
+        let receipt = mgr.apply_delta_swap(&delta).expect("valid delta");
+        assert_eq!(receipt.new.generation, 2);
         assert_eq!(mgr.generation(), 2);
 
         // The pre-swap handle still sees the old graph (D alive).
@@ -172,7 +163,7 @@ mod tests {
         let bad = GraphDelta::new().push(Change::Delist {
             node: pcover_graph::ItemId::new(99),
         });
-        assert!(mgr.apply_delta(&bad).is_err());
+        assert!(mgr.apply_delta_swap(&bad).is_err());
         assert_eq!(mgr.generation(), 1);
     }
 
@@ -208,7 +199,10 @@ mod tests {
                         node: ids.e,
                         weight: 0.5,
                     });
-                    mgr.apply_delta(&delta).expect("valid delta")
+                    mgr.apply_delta_swap(&delta)
+                        .expect("valid delta")
+                        .new
+                        .generation
                 })
             })
             .collect();

@@ -69,7 +69,10 @@ fn snapshot_swap_never_tears_a_concurrent_read() {
             let mgr = Arc::clone(&mgr);
             thread::spawn(move || {
                 let delta = GraphDelta::new().push(Change::Delist { node: ids.d });
-                mgr.apply_delta(&delta).expect("valid delta")
+                mgr.apply_delta_swap(&delta)
+                    .expect("valid delta")
+                    .new
+                    .generation
             })
         };
         let snap = mgr.current();
@@ -107,14 +110,21 @@ fn concurrent_deltas_serialize_into_distinct_generations() {
                     node: ids.e,
                     weight: 0.5,
                 });
-                mgr.apply_delta(&delta).expect("valid delta")
+                mgr.apply_delta_swap(&delta)
+                    .expect("valid delta")
+                    .new
+                    .generation
             })
         };
         let delta = GraphDelta::new().push(Change::SetNodeWeight {
             node: ids.e,
             weight: 0.25,
         });
-        let mine = mgr.apply_delta(&delta).expect("valid delta");
+        let mine = mgr
+            .apply_delta_swap(&delta)
+            .expect("valid delta")
+            .new
+            .generation;
         let theirs = other.join().expect("writer");
         let mut gens = [mine, theirs];
         gens.sort_unstable();
