@@ -3,20 +3,25 @@
 //! Every command returns its report as a `String` so the binary stays a
 //! thin printer and tests can assert on outputs directly.
 
+use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
-use std::path::Path;
+use std::path::{Path, PathBuf};
+use std::time::{Duration, Instant};
 
 use pcover_adapt::diagnostics::{diagnose, DiagnosticThresholds};
 use pcover_adapt::{adapt, AdaptOptions};
 use pcover_clickstream::{io as cs_io, Clickstream};
 use pcover_core::{
     minimize, Independent, Normalized, Observer, ProgressObserver, Registry, RoundStats, SolveCtx,
-    SolveReport, SolverConfig, SolverSpec, TraceObserver, Variant,
+    SolveReport, SolverConfig, SolverSpec, TraceObserver, Variant, WarmState,
 };
+use pcover_datagen::graphgen::{generate_graph, generate_graph_container, GraphGenConfig};
 use pcover_datagen::profiles::{DatasetProfile, Scale};
 use pcover_datagen::sessions::generate_clickstream;
+use pcover_graph::delta::{Change, GraphDelta};
 use pcover_graph::io::{json as graph_json, LoadOptions};
 use pcover_graph::{GraphStats, ItemId, PreferenceGraph};
+use serde_json::{json, Value};
 
 use crate::args::Args;
 use crate::CliError;
@@ -107,20 +112,22 @@ SUBCOMMANDS
             Generate a seeded synthetic graph straight to disk; .pcov (or
             --container) streams without materializing the graph.
   bench-snapshot [--out BENCH_5.json] [--grid default|small|large] [--seed 42]
-                 [--pr 5] [--repeats 1] [--warm] [--smoke]
+                 [--pr 5] [--repeats 1] [--smoke]
             Run the fixed solver × variant × (n, D, k) perf grid on seeded
             synthetic graphs and write a machine-readable snapshot (schema
-            pcover-bench-snapshot/1). Fails if the delta solver evaluates
-            at least as many gains as plain greedy on any n >= 100 point.
-            --warm additionally applies a seeded <=1% edge delta per shape
-            and records warm-start repair vs cold post-delta re-solve as
-            delta-cold / delta-warm entries; fails unless the warm solve is
-            bit-identical and (at n >= 1000) evaluates strictly fewer gains.
+            pcover-bench-snapshot/1). Every grid also applies a seeded <=1%
+            edge delta per shape and records warm-start repair vs cold
+            post-delta re-solve as delta-cold / delta-warm entries. Fails if
+            the delta solver evaluates at least as many gains as plain
+            greedy on any n >= 100 point, if a warm solve is not
+            bit-identical to its cold one, or if one at n >= 1000 does not
+            evaluate strictly fewer gains.
             --grid large is the container tier (n = 10^5 and 10^6, k = 50;
-            --smoke drops the 10^6 shape): streams each graph to a .pcov
-            container, gates container cold-load at >= 10x faster than the
-            JSON parse, and times greedy/lazy/delta + warm delta repair
-            over the mapped CSR, checked bit-identical to in-memory solves.
+            --smoke drops the 10^6 shape; --out and --pr default to
+            BENCH_9.json and 9): streams each graph to a .pcov container,
+            gates container cold-load at >= 10x faster than the JSON parse,
+            and times greedy/lazy/delta over the mapped CSR, checked
+            bit-identical to in-memory solves.
   serve     --graph graph.json [--threads 8] [--port 7878] [--host 127.0.0.1]
             [--queue 64] [--cache 128] [--deadline-ms 0]
             Run the resident query service: GET /solve, /cover, /minimize,
@@ -549,8 +556,6 @@ fn probe_cmd(args: &Args) -> Result<String, CliError> {
 /// without materializing the graph, so million-node files need tens of MB,
 /// not gigabytes; otherwise the graph is built in memory and written JSON.
 fn gen_graph_cmd(args: &Args) -> Result<String, CliError> {
-    use pcover_datagen::graphgen::{generate_graph, generate_graph_container, GraphGenConfig};
-
     let out = args.required("out")?.to_owned();
     let cfg = GraphGenConfig {
         nodes: args.required_parse("nodes")?,
@@ -578,9 +583,9 @@ fn gen_graph_cmd(args: &Args) -> Result<String, CliError> {
     }
 }
 
-/// The solvers every snapshot records. `BENCH_*.json` files are a perf
-/// trajectory across PRs, so a name leaves this list only with its solver:
-/// the committed snapshots keep the rows of removed solvers
+/// The solvers the default and small grids record. `BENCH_*.json` files
+/// are a perf trajectory across PRs, so a name leaves this list only with
+/// its solver: the committed snapshots keep the rows of removed solvers
 /// (`delta-parallel` in BENCH_5/7/8) as history, and the CI gates over
 /// them read only the `greedy` and `delta` rows.
 const BENCH_SOLVERS: [&str; 4] = ["greedy", "lazy", "parallel", "delta"];
@@ -589,569 +594,488 @@ const BENCH_SOLVERS: [&str; 4] = ["greedy", "lazy", "parallel", "delta"];
 /// in the README.
 const BENCH_SCHEMA: &str = "pcover-bench-snapshot/1";
 
-fn bench_snapshot_cmd(args: &Args, registry: &Registry) -> Result<String, CliError> {
-    use pcover_datagen::graphgen::{generate_graph, GraphGenConfig};
+/// One `--grid`: its (n, D) graph shapes × budgets k, the solvers it times,
+/// its load path, and its default `--pr`; `--out` defaults to that PR's
+/// `BENCH_<pr>.json`.
+struct BenchGrid {
+    name: &'static str,
+    shapes: &'static [(usize, usize)],
+    budgets: &'static [usize],
+    solvers: &'static [&'static str],
+    /// The load path: `false` builds each graph in memory with
+    /// `generate_graph`; `true` takes [`BenchRun::load_race`] and solves
+    /// over the mapped container.
+    container: bool,
+    pr: u64,
+}
 
-    let out = args.optional("out").unwrap_or("BENCH_5.json");
+/// Every `--grid`. `small` is the CI smoke grid; `default` is what
+/// BENCH_5/7/8.json record; `large` is the million-node container tier of
+/// BENCH_9/15.json, which leaves the thread-pool solver (`parallel`) to the
+/// default grid.
+const BENCH_GRIDS: [BenchGrid; 3] = [
+    BenchGrid {
+        name: "default",
+        shapes: &[(1_000, 4), (1_000, 8), (10_000, 4), (10_000, 8)],
+        budgets: &[16, 64],
+        solvers: &BENCH_SOLVERS,
+        container: false,
+        pr: 5,
+    },
+    BenchGrid {
+        name: "small",
+        shapes: &[(200, 4)],
+        budgets: &[8, 32],
+        solvers: &BENCH_SOLVERS,
+        container: false,
+        pr: 5,
+    },
+    BenchGrid {
+        name: "large",
+        shapes: &[(100_000, 4), (1_000_000, 4)],
+        budgets: &[50],
+        solvers: &["greedy", "lazy", "delta"],
+        container: true,
+        pr: 9,
+    },
+];
+
+/// `pcover bench-snapshot`: one loop over the chosen grid's shapes (see
+/// [`BenchRun::shape`]). The snapshot is written before any gate failure is
+/// reported, so a failing run still leaves its numbers behind.
+fn bench_snapshot_cmd(args: &Args, registry: &Registry) -> Result<String, CliError> {
+    let grid_name = args.optional("grid").unwrap_or("default");
+    let grid = BENCH_GRIDS
+        .iter()
+        .find(|grid| grid.name == grid_name)
+        .ok_or_else(|| {
+            CliError(format!(
+                "unknown grid {grid_name:?}; use default, small or large"
+            ))
+        })?;
+    let default_out = format!("BENCH_{}.json", grid.pr);
+    let out = args.optional("out").unwrap_or(&default_out);
     let seed: u64 = args.parse_or("seed", 42)?;
     // The PR number the snapshot belongs to, recorded so two committed
     // snapshots (e.g. BENCH_5.json vs BENCH_7.json) identify themselves.
-    let pr: u64 = args.parse_or("pr", 5)?;
-    // Solve each grid point `repeats` times and record the minimum wall
-    // time: the min is the standard robust estimator under scheduler and
-    // cache noise. Evaluation counts and covers are deterministic, so
-    // only the timing benefits from repetition.
+    let pr: u64 = args.parse_or("pr", grid.pr)?;
     let repeats: usize = args.parse_or("repeats", 1)?;
     if repeats == 0 {
         return Err(CliError("--repeats must be at least 1".into()));
     }
-    // (n, D) graph shapes × budgets k. The small grid exists for CI smoke
-    // runs; the default grid is what the committed BENCH_5.json and
-    // BENCH_7.json at the repo root record.
-    let (shapes, budgets): (&[(usize, usize)], &[usize]) =
-        match args.optional("grid").unwrap_or("default") {
-            "default" => (
-                &[(1_000, 4), (1_000, 8), (10_000, 4), (10_000, 8)],
-                &[16, 64],
-            ),
-            "small" => (&[(200, 4)], &[8, 32]),
-            "large" => return bench_large_grid(args, registry),
-            other => {
-                return Err(CliError(format!(
-                    "unknown grid {other:?}; use default, small or large"
-                )))
-            }
-        };
-
-    let mut entries = Vec::new();
-    // greedy's evaluation counts per (variant, n, D, k), the baseline the
-    // delta check below compares against.
-    let mut greedy_evals = std::collections::HashMap::new();
-    let mut violations = Vec::new();
-    for &(n, d) in shapes {
-        // `normalized: true` keeps out-weight sums at most 1, so one graph
-        // per shape is valid for both IPC and NPC semantics.
-        let g = generate_graph(&GraphGenConfig {
-            nodes: n,
-            avg_out_degree: d,
-            normalized: true,
-            seed,
-            ..GraphGenConfig::default()
+    let solvers = grid
+        .solvers
+        .iter()
+        .map(|&name| {
+            registry
+                .get(name)
+                .copied()
+                .ok_or_else(|| CliError(registry.unknown_algorithm_message(name)))
         })
-        .map_err(CliError::from_display)?;
-        let memory_bytes = g.memory_bytes();
-        for &k in budgets {
-            for name in BENCH_SOLVERS {
-                let spec = *registry
-                    .get(name)
-                    .ok_or_else(|| CliError(registry.unknown_algorithm_message(name)))?;
-                for variant in [Variant::Independent, Variant::Normalized] {
-                    let mut ctx = SolveCtx::new(SolverConfig::default());
-                    let mut report = spec
-                        .solve(variant, &g, k, &mut ctx)
-                        .map_err(CliError::from_display)?;
-                    for _ in 1..repeats {
-                        let mut ctx = SolveCtx::new(SolverConfig::default());
-                        let again = spec
-                            .solve(variant, &g, k, &mut ctx)
-                            .map_err(CliError::from_display)?;
-                        if again.elapsed < report.elapsed {
-                            report.elapsed = again.elapsed;
-                        }
-                    }
-                    let point = (variant.name(), n, d, k);
-                    if name == "greedy" {
-                        greedy_evals.insert(point, report.gain_evaluations);
-                    } else if name == "delta" && n >= 100 {
-                        let baseline = greedy_evals.get(&point).copied().unwrap_or(0);
-                        if report.gain_evaluations >= baseline {
-                            violations.push(format!(
-                                "delta did {} gain evaluations vs greedy's {baseline} \
-                                 on variant={} n={n} D={d} k={k}",
-                                report.gain_evaluations,
-                                variant.name(),
-                            ));
-                        }
-                    }
-                    entries.push(serde_json::json!({
-                        "solver": name,
-                        "variant": variant.name(),
-                        "n": n,
-                        "avg_out_degree": d,
-                        "k": k,
-                        "seed": seed,
-                        "wall_ms": report.elapsed.as_secs_f64() * 1e3,
-                        "gain_evaluations": report.gain_evaluations,
-                        "memory_bytes": memory_bytes,
-                        "cover": report.cover,
-                    }));
-                }
-            }
-        }
+        .collect::<Result<Vec<_>, _>>()?;
+    // --smoke drops the million-node shape so CI can run the large grid in
+    // seconds; the committed BENCH_9/15.json record the full grid.
+    let smoke = args.flag("smoke");
+    let shapes: Vec<_> = grid
+        .shapes
+        .iter()
+        .copied()
+        .filter(|&(n, _)| !smoke || n < 1_000_000)
+        .collect();
+
+    let mut run = BenchRun {
+        seed,
+        repeats,
+        dir: std::env::temp_dir().join(format!("pcover-bench-{}", std::process::id())),
+        entries: Vec::new(),
+        violations: Vec::new(),
+    };
+    for &(n, d) in &shapes {
+        run.shape(grid, &solvers, n, d)?;
+    }
+    if grid.container {
+        std::fs::remove_dir_all(&run.dir).ok();
     }
 
-    // --warm: per shape, apply a seeded edge-only delta touching <=1% of
-    // nodes, then record a cold post-delta re-solve ("delta-cold") against
-    // a warm-start repair seeded from the pre-delta solution ("delta-warm")
-    // in the same schema. The warm gate below is the smoke-test teeth for
-    // the PR-8 acceptance criterion.
-    if args.flag("warm") {
-        use pcover_core::WarmState;
-        use pcover_graph::delta::{apply, Change, GraphDelta};
-
-        let spec = *registry
-            .get("delta")
-            .ok_or_else(|| CliError(registry.unknown_algorithm_message("delta")))?;
-        for &(n, d) in shapes {
-            let g = generate_graph(&GraphGenConfig {
-                nodes: n,
-                avg_out_degree: d,
-                normalized: true,
-                seed,
-                ..GraphGenConfig::default()
-            })
-            .map_err(CliError::from_display)?;
-            // Deterministic small delta: stride through (n / 200).max(1)
-            // nodes and halve their first out-edge (exact arithmetic, stays
-            // in (0, 1], and touches at most 1% of nodes).
-            let changes = (n / 200).max(1);
-            let stride = (n / changes).max(1);
-            let mut delta = GraphDelta::new();
-            let mut applied = 0usize;
-            for i in 0..changes {
-                let v = ItemId::from_index((i * stride) % n);
-                if let Some((target, w)) = g.out_edges(v).next() {
-                    delta = delta.push(Change::UpsertEdge {
-                        source: v,
-                        target,
-                        weight: w * 0.5,
-                    });
-                    applied += 1;
-                }
-            }
-            if applied == 0 {
-                return Err(CliError(format!(
-                    "warm bench delta for n={n} D={d} found no edges to perturb"
-                )));
-            }
-            let touched = delta.touched_nodes(&g);
-            let g2 = apply(&g, &delta).map_err(CliError::from_display)?;
-            let memory_bytes = g2.memory_bytes();
-            for &k in budgets {
-                for variant in [Variant::Independent, Variant::Normalized] {
-                    let mut ctx = SolveCtx::new(SolverConfig::default());
-                    let previous = spec
-                        .solve(variant, &g, k, &mut ctx)
-                        .map_err(CliError::from_display)?;
-                    let warm_state = WarmState::capture_variant(variant, &g, &previous.order);
-
-                    let mut ctx = SolveCtx::new(SolverConfig::default());
-                    let mut cold = spec
-                        .solve(variant, &g2, k, &mut ctx)
-                        .map_err(CliError::from_display)?;
-                    let mut ctx = SolveCtx::new(SolverConfig::default());
-                    let mut warm = spec
-                        .solve_warm(variant, &g2, k, &touched, &warm_state, &mut ctx)
-                        .map_err(CliError::from_display)?;
-                    for _ in 1..repeats {
-                        let mut ctx = SolveCtx::new(SolverConfig::default());
-                        let again = spec
-                            .solve(variant, &g2, k, &mut ctx)
-                            .map_err(CliError::from_display)?;
-                        if again.elapsed < cold.elapsed {
-                            cold.elapsed = again.elapsed;
-                        }
-                        let mut ctx = SolveCtx::new(SolverConfig::default());
-                        let again = spec
-                            .solve_warm(variant, &g2, k, &touched, &warm_state, &mut ctx)
-                            .map_err(CliError::from_display)?;
-                        if again.report.elapsed < warm.report.elapsed {
-                            warm.report.elapsed = again.report.elapsed;
-                        }
-                    }
-
-                    if !warm.report.bit_identical_to(&cold) {
-                        violations.push(format!(
-                            "warm re-solve drifted from the cold solve on variant={} \
-                             n={n} D={d} k={k}",
-                            variant.name(),
-                        ));
-                    }
-                    if n >= 1_000 && warm.report.gain_evaluations >= cold.gain_evaluations {
-                        violations.push(format!(
-                            "warm re-solve did {} gain evaluations vs cold's {} after a \
-                             {applied}-change delta on variant={} n={n} D={d} k={k}",
-                            warm.report.gain_evaluations,
-                            cold.gain_evaluations,
-                            variant.name(),
-                        ));
-                    }
-                    entries.push(serde_json::json!({
-                        "solver": "delta-cold",
-                        "variant": variant.name(),
-                        "n": n,
-                        "avg_out_degree": d,
-                        "k": k,
-                        "seed": seed,
-                        "wall_ms": cold.elapsed.as_secs_f64() * 1e3,
-                        "gain_evaluations": cold.gain_evaluations,
-                        "memory_bytes": memory_bytes,
-                        "cover": cold.cover,
-                        "delta_changes": applied,
-                    }));
-                    entries.push(serde_json::json!({
-                        "solver": "delta-warm",
-                        "variant": variant.name(),
-                        "n": n,
-                        "avg_out_degree": d,
-                        "k": k,
-                        "seed": seed,
-                        "wall_ms": warm.report.elapsed.as_secs_f64() * 1e3,
-                        "gain_evaluations": warm.report.gain_evaluations,
-                        "memory_bytes": memory_bytes,
-                        "cover": warm.report.cover,
-                        "delta_changes": applied,
-                        "rounds_reused": warm.rounds_reused,
-                        "rounds_repaired": warm.rounds_repaired,
-                    }));
-                }
-            }
-        }
-    }
-
-    let count = entries.len();
-    let snapshot = serde_json::json!({
+    let count = run.entries.len();
+    let snapshot = json!({
         "schema": BENCH_SCHEMA,
         "pr": pr,
         "seed": seed,
-        "entries": entries,
+        "entries": run.entries,
     });
     let json = serde_json::to_string_pretty(&snapshot).map_err(CliError::from_display)?;
     std::fs::write(out, json + "\n").map_err(CliError::from_display)?;
 
-    if !violations.is_empty() {
+    if !run.violations.is_empty() {
         return Err(CliError(format!(
-            "bench snapshot written to {out}, but the delta-solver guarantees \
-             (fewer evaluations than greedy; warm bit-identical and cheaper \
-             than cold) failed:\n  {}",
-            violations.join("\n  ")
+            "bench snapshot written to {out}, but {} of its gates failed:\n  {}",
+            run.violations.len(),
+            run.violations.join("\n  ")
         )));
     }
-    let warm_note = if args.flag("warm") {
-        " + warm-vs-cold delta grid"
-    } else {
-        ""
-    };
     Ok(format!(
-        "bench snapshot: {count} entries ({} solvers x 2 variants x {} shapes x {} budgets, \
-         seed {seed}{warm_note}) -> {out}\n",
-        BENCH_SOLVERS.len(),
+        "bench snapshot: {count} entries ({} grid: {} solvers x 2 variants x {} shapes x {} \
+         budgets, each delta solve with a warm-vs-cold delta pass, seed {seed}) -> {out}\n",
+        grid.name,
+        solvers.len(),
         shapes.len(),
-        budgets.len(),
+        grid.budgets.len(),
     ))
 }
 
-/// Solvers the large grid times over the container-loaded CSR. A subset of
-/// [`BENCH_SOLVERS`]: the thread-pool solver (`parallel`) is covered by the
-/// default grid, and at n >= 10^5 cold and warm delta are what the
-/// instant-load story is about.
-const BENCH_LARGE_SOLVERS: [&str; 3] = ["greedy", "lazy", "delta"];
-
-/// `--grid large`: the million-node container tier. Per shape it streams a
-/// seeded graph straight to a `.pcov` container, writes a JSON twin,
-/// records cold-load wall time for both (gated: the container must load at
-/// least 10x faster than JSON at n >= 10^5), then times
-/// greedy/lazy/delta plus a warm-start delta repair over the mapped CSR —
-/// asserting every solve is bit-identical to the same solve on the
-/// JSON-loaded in-memory graph.
-fn bench_large_grid(args: &Args, registry: &Registry) -> Result<String, CliError> {
-    use pcover_core::WarmState;
-    use pcover_datagen::graphgen::{generate_graph_container, GraphGenConfig};
-    use pcover_graph::delta::{apply, Change, GraphDelta};
-    use std::time::Instant;
-
-    let out = args.optional("out").unwrap_or("BENCH_9.json");
-    let seed: u64 = args.parse_or("seed", 42)?;
-    let pr: u64 = args.parse_or("pr", 9)?;
-    let repeats: usize = args.parse_or("repeats", 1)?;
-    if repeats == 0 {
-        return Err(CliError("--repeats must be at least 1".into()));
+/// Runs `timed` `repeats` times and keeps its first result, with the wall
+/// time `wall` points at lowered to the minimum over all runs: the min is
+/// the standard robust estimator under scheduler and cache noise.
+/// Evaluation counts and covers are deterministic, so only the timing
+/// benefits from repetition.
+fn min_wall<T, E: std::fmt::Display>(
+    repeats: usize,
+    mut timed: impl FnMut() -> Result<T, E>,
+    wall: fn(&mut T) -> &mut Duration,
+) -> Result<T, CliError> {
+    let mut best = timed().map_err(CliError::from_display)?;
+    for _ in 1..repeats {
+        let mut again = timed().map_err(CliError::from_display)?;
+        let again = *wall(&mut again);
+        let best_wall = wall(&mut best);
+        *best_wall = (*best_wall).min(again);
     }
-    // --smoke drops the million-node shape so CI can run the tier in
-    // seconds; the committed BENCH_9.json records the full grid.
-    let shapes: &[(usize, usize)] = if args.flag("smoke") {
-        &[(100_000, 4)]
-    } else {
-        &[(100_000, 4), (1_000_000, 4)]
-    };
-    let budgets: &[usize] = &[50];
+    Ok(best)
+}
 
-    let dir = std::env::temp_dir().join(format!("pcover-bench-large-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).map_err(CliError::from_display)?;
+/// The fields every entry of one (n, D) shape shares.
+#[derive(Clone, Copy)]
+struct BenchShape {
+    n: usize,
+    d: usize,
+    seed: u64,
+    /// CSR footprint of the graph the entry's run read.
+    memory_bytes: usize,
+    /// How the graph was loaded; set on container grids only.
+    backend: Option<&'static str>,
+    /// Size of the seeded delta; set on entries timed after it.
+    delta_changes: Option<usize>,
+}
 
-    let mut entries = Vec::new();
-    let mut violations = Vec::new();
-    for &(n, d) in shapes {
-        let cfg = GraphGenConfig {
-            nodes: n,
-            avg_out_degree: d,
-            normalized: true,
-            seed,
-            ..GraphGenConfig::default()
-        };
-        let cpath = dir.join(format!("bench-{n}.pcov"));
-        let jpath = dir.join(format!("bench-{n}.json"));
-        generate_graph_container(&cfg, &cpath).map_err(CliError::from_display)?;
-        // The JSON twin is derived from the container so both loads read
-        // the exact same graph bits.
-        let (owned, _) = pcover_store::read_graph_auto(&cpath, pcover_store::OpenMode::Pread)
-            .map_err(CliError::from_display)?;
-        graph_json::write_json(&owned, &jpath).map_err(CliError::from_display)?;
-        drop(owned);
+impl BenchShape {
+    fn of(cfg: &GraphGenConfig, g: &PreferenceGraph, backend: Option<&'static str>) -> Self {
+        BenchShape {
+            n: cfg.nodes,
+            d: cfg.avg_out_degree,
+            seed: cfg.seed,
+            memory_bytes: g.memory_bytes(),
+            backend,
+            delta_changes: None,
+        }
+    }
 
-        // Cold-load timing, min over `repeats`: full parse + validation
-        // for JSON vs checksum + (mmap | pread) for the container.
-        let mut json_ms = f64::INFINITY;
-        let mut reference = None;
-        for _ in 0..repeats {
-            let t = Instant::now();
-            let g = graph_json::read_json(&jpath, &LoadOptions::default())
-                .map_err(CliError::from_display)?;
-            json_ms = json_ms.min(t.elapsed().as_secs_f64() * 1e3);
-            reference = Some(g);
+    /// One `pcover-bench-snapshot/1` entry; loads write variant `n/a`,
+    /// k = 0, no gain evaluations and a zero cover.
+    fn entry(
+        &self,
+        solver: &str,
+        variant: &str,
+        k: usize,
+        wall: Duration,
+        gain_evaluations: u64,
+        cover: f64,
+    ) -> BTreeMap<String, Value> {
+        let mut entry: BTreeMap<String, Value> = [
+            ("solver", json!(solver)),
+            ("variant", json!(variant)),
+            ("n", json!(self.n)),
+            ("avg_out_degree", json!(self.d)),
+            ("k", json!(k)),
+            ("seed", json!(self.seed)),
+            ("wall_ms", json!(wall.as_secs_f64() * 1e3)),
+            ("gain_evaluations", json!(gain_evaluations)),
+            ("memory_bytes", json!(self.memory_bytes)),
+            ("cover", json!(cover)),
+        ]
+        .into_iter()
+        .map(|(key, value)| (key.to_owned(), value))
+        .collect();
+        if let Some(backend) = self.backend {
+            entry.insert("backend".into(), json!(backend));
         }
-        let reference = reference.expect("repeats >= 1");
-        let mut container_ms = f64::INFINITY;
-        let mut mapped = None;
-        let mut backend = "pread";
-        for _ in 0..repeats {
-            let t = Instant::now();
-            let (g, how) = pcover_store::read_graph_auto(&cpath, pcover_store::OpenMode::Auto)
-                .map_err(CliError::from_display)?;
-            container_ms = container_ms.min(t.elapsed().as_secs_f64() * 1e3);
-            mapped = Some(g);
-            backend = how;
+        if let Some(changes) = self.delta_changes {
+            entry.insert("delta_changes".into(), json!(changes));
         }
-        let mapped = mapped.expect("repeats >= 1");
-        let speedup = json_ms / container_ms;
-        if n >= 100_000 && speedup < 10.0 {
-            violations.push(format!(
-                "container cold-load was only {speedup:.1}x faster than JSON \
-                 ({container_ms:.1} ms vs {json_ms:.1} ms) on n={n} D={d}; need >= 10x"
-            ));
-        }
-        for (solver, wall_ms, load_backend) in [
-            ("load-json", json_ms, "serde"),
-            ("load-container", container_ms, backend),
-        ] {
-            let mut entry = serde_json::json!({
-                "solver": solver,
-                "variant": "n/a",
-                "n": n,
-                "avg_out_degree": d,
-                "k": 0,
-                "seed": seed,
-                "wall_ms": wall_ms,
-                "gain_evaluations": 0,
-                "memory_bytes": reference.memory_bytes(),
-                "cover": 0.0,
-                "backend": load_backend,
-            });
-            if solver == "load-container" {
-                if let serde_json::Value::Object(obj) = &mut entry {
-                    obj.insert("speedup_vs_json".into(), serde_json::json!(speedup));
-                }
-            }
-            entries.push(entry);
-        }
+        entry
+    }
 
-        // Solver timings over the mapped CSR, each checked bit-identical
-        // against the same solve on the JSON-loaded in-memory graph.
-        let memory_bytes = mapped.memory_bytes();
-        for &k in budgets {
-            for name in BENCH_LARGE_SOLVERS {
-                let spec = *registry
-                    .get(name)
-                    .ok_or_else(|| CliError(registry.unknown_algorithm_message(name)))?;
-                for variant in [Variant::Independent, Variant::Normalized] {
-                    let mut ctx = SolveCtx::new(SolverConfig::default());
-                    let mut report = spec
-                        .solve(variant, &mapped, k, &mut ctx)
-                        .map_err(CliError::from_display)?;
-                    for _ in 1..repeats {
-                        let mut ctx = SolveCtx::new(SolverConfig::default());
-                        let again = spec
-                            .solve(variant, &mapped, k, &mut ctx)
-                            .map_err(CliError::from_display)?;
-                        if again.elapsed < report.elapsed {
-                            report.elapsed = again.elapsed;
-                        }
-                    }
-                    let mut ctx = SolveCtx::new(SolverConfig::default());
-                    let in_memory = spec
-                        .solve(variant, &reference, k, &mut ctx)
-                        .map_err(CliError::from_display)?;
-                    if !report.bit_identical_to(&in_memory) {
-                        violations.push(format!(
-                            "{name} on the container-backed graph drifted from the \
-                             in-memory solve on variant={} n={n} D={d} k={k}",
-                            variant.name(),
-                        ));
-                    }
-                    entries.push(serde_json::json!({
-                        "solver": name,
-                        "variant": variant.name(),
-                        "n": n,
-                        "avg_out_degree": d,
-                        "k": k,
-                        "seed": seed,
-                        "wall_ms": report.elapsed.as_secs_f64() * 1e3,
-                        "gain_evaluations": report.gain_evaluations,
-                        "memory_bytes": memory_bytes,
-                        "cover": report.cover,
-                        "backend": backend,
-                    }));
-                }
-            }
-        }
+    /// [`Self::entry`] for a timed solve of `solver` at budget `k`.
+    fn solved(&self, solver: &str, k: usize, r: &SolveReport) -> BTreeMap<String, Value> {
+        self.entry(
+            solver,
+            r.variant.name(),
+            k,
+            r.elapsed,
+            r.gain_evaluations,
+            r.cover,
+        )
+    }
 
-        // Warm-start delta repair on the mapped graph: same seeded <=1%
-        // edge perturbation as the default grid's --warm pass.
-        let spec = *registry
-            .get("delta")
-            .ok_or_else(|| CliError(registry.unknown_algorithm_message("delta")))?;
-        let changes = (n / 200).max(1);
-        let stride = (n / changes).max(1);
+    /// The grid point a gate failed at, for its message.
+    fn at(&self, variant: Variant, k: usize) -> String {
+        format!("variant={} n={} D={} k={k}", variant.name(), self.n, self.d)
+    }
+}
+
+/// A shape's seeded edge-only delta, applied.
+struct BenchDelta {
+    graph: PreferenceGraph,
+    touched: Vec<ItemId>,
+    /// The shape the warm pass writes its entries with: the edited graph's
+    /// footprint and the delta's size.
+    shape: BenchShape,
+}
+
+impl BenchDelta {
+    /// Strides through (n / 200).max(1) nodes and halves each one's first
+    /// out-edge: exact arithmetic, weights stay in (0, 1], and at most 1%
+    /// of nodes change.
+    fn seeded(g: &PreferenceGraph, shape: &BenchShape) -> Result<Self, CliError> {
+        let n = shape.n;
+        let picks = (n / 200).max(1);
+        let stride = (n / picks).max(1);
         let mut delta = GraphDelta::new();
-        let mut applied = 0usize;
-        for i in 0..changes {
+        for i in 0..picks {
             let v = ItemId::from_index((i * stride) % n);
-            if let Some((target, w)) = mapped.out_edges(v).next() {
+            if let Some((target, w)) = g.out_edges(v).next() {
                 delta = delta.push(Change::UpsertEdge {
                     source: v,
                     target,
                     weight: w * 0.5,
                 });
-                applied += 1;
             }
         }
-        if applied == 0 {
+        if delta.is_empty() {
             return Err(CliError(format!(
-                "large-grid warm delta for n={n} D={d} found no edges to perturb"
+                "the bench delta for n={n} D={} found no edges to perturb",
+                shape.d
             )));
         }
-        let touched = delta.touched_nodes(&mapped);
-        let g2 = apply(&mapped, &delta).map_err(CliError::from_display)?;
-        let post_memory_bytes = g2.memory_bytes();
-        for &k in budgets {
-            for variant in [Variant::Independent, Variant::Normalized] {
-                let mut ctx = SolveCtx::new(SolverConfig::default());
-                let previous = spec
-                    .solve(variant, &mapped, k, &mut ctx)
-                    .map_err(CliError::from_display)?;
-                let warm_state = WarmState::capture_variant(variant, &mapped, &previous.order);
+        let graph = pcover_graph::delta::apply(g, &delta).map_err(CliError::from_display)?;
+        Ok(BenchDelta {
+            shape: BenchShape {
+                memory_bytes: graph.memory_bytes(),
+                delta_changes: Some(delta.len()),
+                ..*shape
+            },
+            touched: delta.touched_nodes(g),
+            graph,
+        })
+    }
+}
 
-                let mut ctx = SolveCtx::new(SolverConfig::default());
-                let mut cold = spec
-                    .solve(variant, &g2, k, &mut ctx)
-                    .map_err(CliError::from_display)?;
-                let mut ctx = SolveCtx::new(SolverConfig::default());
-                let mut warm = spec
-                    .solve_warm(variant, &g2, k, &touched, &warm_state, &mut ctx)
-                    .map_err(CliError::from_display)?;
-                for _ in 1..repeats {
-                    let mut ctx = SolveCtx::new(SolverConfig::default());
-                    let again = spec
-                        .solve(variant, &g2, k, &mut ctx)
-                        .map_err(CliError::from_display)?;
-                    if again.elapsed < cold.elapsed {
-                        cold.elapsed = again.elapsed;
+/// One snapshot run: the settings every shape shares, the entries so far,
+/// and every gate failure, reported together once the snapshot is written.
+struct BenchRun {
+    seed: u64,
+    repeats: usize,
+    /// Where container grids write their `.pcov` files and JSON twins.
+    dir: PathBuf,
+    entries: Vec<BTreeMap<String, Value>>,
+    violations: Vec<String>,
+}
+
+impl BenchRun {
+    /// One (n, D) shape: load its graph, time every solver × variant ×
+    /// budget on it, and follow each `delta` solve with the warm pass.
+    /// Gates: `delta` does strictly fewer gain evaluations than `greedy`
+    /// at n >= 100, and on container grids every solve is bit-identical to
+    /// the same solve on the JSON-loaded graph.
+    fn shape(
+        &mut self,
+        grid: &BenchGrid,
+        solvers: &[SolverSpec],
+        n: usize,
+        d: usize,
+    ) -> Result<(), CliError> {
+        // `normalized: true` keeps out-weight sums at most 1, so one graph
+        // per shape is valid for both IPC and NPC semantics.
+        let cfg = GraphGenConfig {
+            nodes: n,
+            avg_out_degree: d,
+            normalized: true,
+            seed: self.seed,
+            ..GraphGenConfig::default()
+        };
+        let (g, reference, backend) = if grid.container {
+            let (mapped, reference, backend) = self.load_race(&cfg)?;
+            (mapped, Some(reference), Some(backend))
+        } else {
+            let g = generate_graph(&cfg).map_err(CliError::from_display)?;
+            (g, None, None)
+        };
+        let shape = BenchShape::of(&cfg, &g, backend);
+        let edit = BenchDelta::seeded(&g, &shape)?;
+        // greedy's evaluation counts per (variant, k), the baseline of the
+        // delta gate.
+        let mut greedy_evals = HashMap::new();
+        for &k in grid.budgets {
+            for spec in solvers {
+                for variant in [Variant::Independent, Variant::Normalized] {
+                    let report = min_wall(
+                        self.repeats,
+                        || spec.solve(variant, &g, k, &mut SolveCtx::default()),
+                        |r| &mut r.elapsed,
+                    )?;
+                    if let Some(reference) = &reference {
+                        let in_memory = spec
+                            .solve(variant, reference, k, &mut SolveCtx::default())
+                            .map_err(CliError::from_display)?;
+                        if !report.bit_identical_to(&in_memory) {
+                            self.violations.push(format!(
+                                "{} on the container-backed graph drifted from the \
+                                 in-memory solve on {}",
+                                spec.name,
+                                shape.at(variant, k)
+                            ));
+                        }
                     }
-                    let mut ctx = SolveCtx::new(SolverConfig::default());
-                    let again = spec
-                        .solve_warm(variant, &g2, k, &touched, &warm_state, &mut ctx)
-                        .map_err(CliError::from_display)?;
-                    if again.report.elapsed < warm.report.elapsed {
-                        warm.report.elapsed = again.report.elapsed;
+                    if spec.name == "greedy" {
+                        greedy_evals.insert((variant.name(), k), report.gain_evaluations);
                     }
-                }
-                if !warm.report.bit_identical_to(&cold) {
-                    violations.push(format!(
-                        "warm re-solve drifted from the cold solve on variant={} \
-                         n={n} D={d} k={k}",
-                        variant.name(),
-                    ));
-                }
-                if warm.report.gain_evaluations >= cold.gain_evaluations {
-                    violations.push(format!(
-                        "warm re-solve did {} gain evaluations vs cold's {} after a \
-                         {applied}-change delta on variant={} n={n} D={d} k={k}",
-                        warm.report.gain_evaluations,
-                        cold.gain_evaluations,
-                        variant.name(),
-                    ));
-                }
-                for (solver, report, extra_rounds) in [
-                    ("delta-cold", &cold, None),
-                    (
-                        "delta-warm",
-                        &warm.report,
-                        Some((warm.rounds_reused, warm.rounds_repaired)),
-                    ),
-                ] {
-                    let mut entry = serde_json::json!({
-                        "solver": solver,
-                        "variant": variant.name(),
-                        "n": n,
-                        "avg_out_degree": d,
-                        "k": k,
-                        "seed": seed,
-                        "wall_ms": report.elapsed.as_secs_f64() * 1e3,
-                        "gain_evaluations": report.gain_evaluations,
-                        "memory_bytes": post_memory_bytes,
-                        "cover": report.cover,
-                        "backend": backend,
-                        "delta_changes": applied,
-                    });
-                    if let (Some((reused, repaired)), serde_json::Value::Object(obj)) =
-                        (extra_rounds, &mut entry)
-                    {
-                        obj.insert("rounds_reused".into(), serde_json::json!(reused));
-                        obj.insert("rounds_repaired".into(), serde_json::json!(repaired));
+                    self.entries.push(shape.solved(spec.name, k, &report));
+                    if spec.name == "delta" {
+                        let baseline = greedy_evals.get(&(variant.name(), k)).copied().unwrap_or(0);
+                        if n >= 100 && report.gain_evaluations >= baseline {
+                            self.violations.push(format!(
+                                "delta did {} gain evaluations vs greedy's {baseline} on {}",
+                                report.gain_evaluations,
+                                shape.at(variant, k)
+                            ));
+                        }
+                        let state = WarmState::capture_variant(variant, &g, &report.order);
+                        self.warm_pass(&edit, spec, variant, k, &state)?;
                     }
-                    entries.push(entry);
                 }
             }
         }
-        std::fs::remove_file(&cpath).ok();
-        std::fs::remove_file(&jpath).ok();
+        Ok(())
     }
-    std::fs::remove_dir(&dir).ok();
 
-    let count = entries.len();
-    let snapshot = serde_json::json!({
-        "schema": BENCH_SCHEMA,
-        "pr": pr,
-        "seed": seed,
-        "entries": entries,
-    });
-    let json = serde_json::to_string_pretty(&snapshot).map_err(CliError::from_display)?;
-    std::fs::write(out, json + "\n").map_err(CliError::from_display)?;
+    /// The container load path: streams the shape's graph to a `.pcov`
+    /// container, derives a JSON twin from it (so both loads read the same
+    /// graph bits), and races their cold loads — full parse and validation
+    /// for JSON against checksums plus mmap or pread for the container —
+    /// as `load-json` / `load-container` entries. Gate: the container loads
+    /// at least 10x faster at n >= 10^5. Returns the mapped graph, the
+    /// JSON-loaded reference and the container backend's name.
+    fn load_race(
+        &mut self,
+        cfg: &GraphGenConfig,
+    ) -> Result<(PreferenceGraph, PreferenceGraph, &'static str), CliError> {
+        use pcover_store::{read_graph_auto, OpenMode};
 
-    if !violations.is_empty() {
-        return Err(CliError(format!(
-            "bench snapshot written to {out}, but the container-tier guarantees \
-             (>= 10x cold-load speedup; mapped solves bit-identical to in-memory; \
-             warm repairs bit-identical and cheaper than cold) failed:\n  {}",
-            violations.join("\n  ")
-        )));
+        let (n, d) = (cfg.nodes, cfg.avg_out_degree);
+        std::fs::create_dir_all(&self.dir).map_err(CliError::from_display)?;
+        let cpath = self.dir.join(format!("bench-{n}.pcov"));
+        let jpath = self.dir.join(format!("bench-{n}.json"));
+        generate_graph_container(cfg, &cpath).map_err(CliError::from_display)?;
+        let (owned, _) =
+            read_graph_auto(&cpath, OpenMode::Pread).map_err(CliError::from_display)?;
+        graph_json::write_json(&owned, &jpath).map_err(CliError::from_display)?;
+        drop(owned);
+
+        let (reference, json_wall) = min_wall(
+            self.repeats,
+            || {
+                let t = Instant::now();
+                graph_json::read_json(&jpath, &LoadOptions::default()).map(|g| (g, t.elapsed()))
+            },
+            |(_, wall)| wall,
+        )?;
+        let (mapped, backend, container_wall) = min_wall(
+            self.repeats,
+            || {
+                let t = Instant::now();
+                read_graph_auto(&cpath, OpenMode::Auto).map(|(g, how)| (g, how, t.elapsed()))
+            },
+            |(_, _, wall)| wall,
+        )?;
+        let json_ms = json_wall.as_secs_f64() * 1e3;
+        let container_ms = container_wall.as_secs_f64() * 1e3;
+        let speedup = json_ms / container_ms;
+        if n >= 100_000 && speedup < 10.0 {
+            self.violations.push(format!(
+                "container cold-load was only {speedup:.1}x faster than JSON \
+                 ({container_ms:.1} ms vs {json_ms:.1} ms) on n={n} D={d}; need >= 10x"
+            ));
+        }
+        let shape = BenchShape::of(cfg, &reference, Some("serde"));
+        self.entries
+            .push(shape.entry("load-json", "n/a", 0, json_wall, 0, 0.0));
+        let shape = BenchShape {
+            backend: Some(backend),
+            ..shape
+        };
+        let mut entry = shape.entry("load-container", "n/a", 0, container_wall, 0, 0.0);
+        entry.insert("speedup_vs_json".into(), json!(speedup));
+        self.entries.push(entry);
+        Ok((mapped, reference, backend))
     }
-    Ok(format!(
-        "bench snapshot: {count} entries (large container grid, {} solvers + loads + \
-         warm deltas x {} shapes, seed {seed}) -> {out}\n",
-        BENCH_LARGE_SOLVERS.len(),
-        shapes.len(),
-    ))
+
+    /// The warm pass after a `delta` solve: times a cold `delta` re-solve of
+    /// the edited graph against a warm repair from `state` (captured from
+    /// that solve) as `delta-cold` / `delta-warm` entries. Gates: the
+    /// repair is bit-identical to the cold re-solve and, at n >= 1000,
+    /// evaluates strictly fewer gains.
+    fn warm_pass(
+        &mut self,
+        edit: &BenchDelta,
+        spec: &SolverSpec,
+        variant: Variant,
+        k: usize,
+        state: &WarmState,
+    ) -> Result<(), CliError> {
+        let g = &edit.graph;
+        let cold = min_wall(
+            self.repeats,
+            || spec.solve(variant, g, k, &mut SolveCtx::default()),
+            |r| &mut r.elapsed,
+        )?;
+        let warm = min_wall(
+            self.repeats,
+            || {
+                spec.solve_warm(
+                    variant,
+                    g,
+                    k,
+                    &edit.touched,
+                    state,
+                    &mut SolveCtx::default(),
+                )
+            },
+            |w| &mut w.report.elapsed,
+        )?;
+        let shape = &edit.shape;
+        if !warm.report.bit_identical_to(&cold) {
+            self.violations.push(format!(
+                "warm re-solve drifted from the cold solve on {}",
+                shape.at(variant, k)
+            ));
+        }
+        if shape.n >= 1_000 && warm.report.gain_evaluations >= cold.gain_evaluations {
+            self.violations.push(format!(
+                "warm re-solve did {} gain evaluations vs cold's {} after a \
+                 {}-change delta on {}",
+                warm.report.gain_evaluations,
+                cold.gain_evaluations,
+                shape.delta_changes.unwrap_or(0),
+                shape.at(variant, k)
+            ));
+        }
+        self.entries.push(shape.solved("delta-cold", k, &cold));
+        let mut entry = shape.solved("delta-warm", k, &warm.report);
+        entry.insert("rounds_reused".into(), json!(warm.rounds_reused));
+        entry.insert("rounds_repaired".into(), json!(warm.rounds_repaired));
+        self.entries.push(entry);
+        Ok(())
+    }
 }
 
 fn export_dot_cmd(args: &Args) -> Result<String, CliError> {
@@ -1901,98 +1825,97 @@ mod tests {
         assert!((g2.node_weight(x) - 0.9).abs() < 1e-12);
     }
 
-    #[test]
-    fn bench_snapshot_writes_stable_schema_and_enforces_delta_wins() {
-        let out = tmp("bench-snapshot.json");
+    /// Runs `bench-snapshot --grid small` into the temp file `name`; returns
+    /// the command's message, the output path and the snapshot's entries.
+    fn small_grid_snapshot(name: &str) -> (String, String, Vec<serde_json::Value>) {
+        let out = tmp(name);
         let msg = run_tokens(&["bench-snapshot", "--grid", "small", "--out", &out]).unwrap();
-        assert!(msg.contains(&out), "{msg}");
-
         let parsed: serde_json::Value =
             serde_json::from_str(&std::fs::read_to_string(&out).unwrap()).unwrap();
         assert_eq!(
             parsed.get("schema").unwrap().as_str().unwrap(),
             BENCH_SCHEMA
         );
-        let entries = parsed.get("entries").unwrap().as_array().unwrap();
-        // 4 solvers x 2 variants x 1 shape x 2 budgets.
-        assert_eq!(entries.len(), 16);
+        let entries = parsed.get("entries").unwrap().as_array().unwrap().clone();
+        // 4 solvers x 2 variants x 1 shape x 2 budgets, plus
+        // 2 variants x 2 budgets x (delta-cold, delta-warm).
+        assert_eq!(entries.len(), 24);
+        (msg, out, entries)
+    }
 
-        let field = |e: &serde_json::Value, key: &str| e.get(key).unwrap().clone();
-        let evals = |solver: &str, variant: &str, k: u64| -> u64 {
-            entries
-                .iter()
-                .find(|e| {
-                    field(e, "solver").as_str() == Some(solver)
-                        && field(e, "variant").as_str() == Some(variant)
-                        && field(e, "k").as_u64() == Some(k)
-                })
-                .unwrap_or_else(|| panic!("missing entry {solver}/{variant}/k={k}"))
-                .get("gain_evaluations")
-                .unwrap()
-                .as_u64()
-                .unwrap()
-        };
+    fn field(e: &serde_json::Value, key: &str) -> serde_json::Value {
+        e.get(key).unwrap().clone()
+    }
+
+    fn find_entry<'a>(
+        entries: &'a [serde_json::Value],
+        solver: &str,
+        variant: &str,
+        k: u64,
+    ) -> &'a serde_json::Value {
+        entries
+            .iter()
+            .find(|e| {
+                field(e, "solver").as_str() == Some(solver)
+                    && field(e, "variant").as_str() == Some(variant)
+                    && field(e, "k").as_u64() == Some(k)
+            })
+            .unwrap_or_else(|| panic!("missing entry {solver}/{variant}/k={k}"))
+    }
+
+    fn evals(e: &serde_json::Value) -> u64 {
+        field(e, "gain_evaluations").as_u64().unwrap()
+    }
+
+    #[test]
+    fn bench_snapshot_writes_stable_schema_and_enforces_delta_wins() {
+        let (msg, out, entries) = small_grid_snapshot("bench-snapshot.json");
+        assert!(msg.contains(&out), "{msg}");
         for variant in ["independent", "normalized"] {
             for k in [8, 32] {
                 assert!(
-                    evals("delta", variant, k) < evals("greedy", variant, k),
+                    evals(find_entry(&entries, "delta", variant, k))
+                        < evals(find_entry(&entries, "greedy", variant, k)),
                     "{variant} k={k}: delta must evaluate strictly fewer gains"
                 );
             }
         }
-        for e in entries {
+        for e in &entries {
             assert!(field(e, "wall_ms").as_f64().unwrap() >= 0.0);
             assert!(field(e, "memory_bytes").as_u64().unwrap() > 0);
             assert!(field(e, "cover").as_f64().unwrap() > 0.0);
         }
 
         assert!(run_tokens(&["bench-snapshot", "--grid", "bogus", "--out", &out]).is_err());
+        assert!(run_tokens(&["bench-snapshot", "--repeats", "0", "--out", &out]).is_err());
     }
 
     #[test]
     fn bench_snapshot_warm_mode_records_bit_identical_cheaper_repairs() {
-        let out = tmp("bench-snapshot-warm.json");
-        let msg =
-            run_tokens(&["bench-snapshot", "--grid", "small", "--warm", "--out", &out]).unwrap();
+        // The warm pass runs on every grid, so a plain small-grid run
+        // carries the delta-cold / delta-warm rows.
+        let (msg, _, entries) = small_grid_snapshot("bench-snapshot-warm.json");
         assert!(msg.contains("warm-vs-cold"), "{msg}");
-
-        let parsed: serde_json::Value =
-            serde_json::from_str(&std::fs::read_to_string(&out).unwrap()).unwrap();
-        let entries = parsed.get("entries").unwrap().as_array().unwrap();
-        // 16 base entries + 2 variants x 2 budgets x (delta-cold, delta-warm).
-        assert_eq!(entries.len(), 24);
-
-        let find = |solver: &str, variant: &str, k: u64| -> &serde_json::Value {
-            entries
-                .iter()
-                .find(|e| {
-                    e.get("solver").unwrap().as_str() == Some(solver)
-                        && e.get("variant").unwrap().as_str() == Some(variant)
-                        && e.get("k").unwrap().as_u64() == Some(k)
-                })
-                .unwrap_or_else(|| panic!("missing entry {solver}/{variant}/k={k}"))
-        };
         for variant in ["independent", "normalized"] {
             for k in [8, 32] {
-                let cold = find("delta-cold", variant, k);
-                let warm = find("delta-warm", variant, k);
+                let cold = find_entry(&entries, "delta-cold", variant, k);
+                let warm = find_entry(&entries, "delta-warm", variant, k);
                 // Bit-identical answers: identical JSON-printed covers.
                 assert_eq!(
-                    cold.get("cover").unwrap().to_string(),
-                    warm.get("cover").unwrap().to_string(),
+                    field(cold, "cover").to_string(),
+                    field(warm, "cover").to_string(),
                     "{variant} k={k}: warm cover must match cold byte-for-byte"
                 );
                 // Strictly fewer evaluations even at small n (the hard gate
                 // is n >= 1000, but a <=1% edge delta wins at n=200 too).
                 assert!(
-                    warm.get("gain_evaluations").unwrap().as_u64()
-                        < cold.get("gain_evaluations").unwrap().as_u64(),
+                    evals(warm) < evals(cold),
                     "{variant} k={k}: warm repair must re-evaluate fewer gains"
                 );
-                let reused = warm.get("rounds_reused").unwrap().as_u64().unwrap();
-                let repaired = warm.get("rounds_repaired").unwrap().as_u64().unwrap();
+                let reused = field(warm, "rounds_reused").as_u64().unwrap();
+                let repaired = field(warm, "rounds_repaired").as_u64().unwrap();
                 assert_eq!(reused + repaired, k, "round accounting partitions k");
-                assert!(warm.get("delta_changes").unwrap().as_u64().unwrap() >= 1);
+                assert!(field(warm, "delta_changes").as_u64().unwrap() >= 1);
             }
         }
     }

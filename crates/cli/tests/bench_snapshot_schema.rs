@@ -1,15 +1,19 @@
 //! Round-trip guard for the committed bench snapshots: `BENCH_5.json`,
-//! `BENCH_7.json`, `BENCH_9.json` and `BENCH_15.json` must parse against the
-//! `pcover-bench-snapshot/1` schema *exactly* — a missing field or an
-//! unknown field fails, so the snapshot format cannot drift under the CI
-//! perf gate that diffs the files.
+//! `BENCH_7.json`, `BENCH_8.json`, `BENCH_9.json` and `BENCH_15.json` must
+//! parse against the `pcover-bench-snapshot/1` schema *exactly* — a missing
+//! field or an unknown field fails, so the snapshot format cannot drift
+//! under the CI perf gates that diff the files. A fresh `--grid small` run
+//! of the built binary must pass the same strict check.
 //!
+//! Every grid writes warm-pass entries (`delta-cold` / `delta-warm`), whose
+//! optional extras ([`WARM_ENTRY_KEYS`]) every profile accepts.
 //! `BENCH_9.json` and `BENCH_15.json` are the `--grid large` container
-//! tier; their entries carry a fixed set of *optional* extras
-//! ([`LARGE_ENTRY_KEYS`]: load backend, load speedup, warm-delta
-//! bookkeeping) on top of the same required core.
+//! tier; their entries may also carry [`LARGE_ENTRY_KEYS`] (load backend,
+//! load speedup). BENCH_5/7.json predate the warm pass and have no warm
+//! entries.
 
 use std::path::PathBuf;
+use std::process::Command;
 
 use serde_json::{Number, Value};
 
@@ -27,14 +31,10 @@ const ENTRY_KEYS: [&str; 10] = [
     "memory_bytes",
     "cover",
 ];
-/// Extra entry fields the large container grid may attach.
-const LARGE_ENTRY_KEYS: [&str; 5] = [
-    "backend",
-    "speedup_vs_json",
-    "delta_changes",
-    "rounds_reused",
-    "rounds_repaired",
-];
+/// Optional unsigned fields of the warm-pass entries, in every profile.
+const WARM_ENTRY_KEYS: [&str; 3] = ["delta_changes", "rounds_reused", "rounds_repaired"];
+/// Extra entry fields only the large container grid may attach.
+const LARGE_ENTRY_KEYS: [&str; 2] = ["backend", "speedup_vs_json"];
 
 fn is_u64(v: &Value) -> bool {
     matches!(v, Value::Number(Number::U64(_)))
@@ -45,13 +45,14 @@ fn is_f64(v: &Value) -> bool {
 }
 
 /// Strict `pcover-bench-snapshot/1` validation: exact key sets at both
-/// levels, field types as written by `bench-snapshot`, non-empty entries.
+/// levels (the warm-pass extras optional), field types as written by
+/// `bench-snapshot`, non-empty entries.
 fn validate(snapshot: &Value) -> Result<(), String> {
     validate_profile(snapshot, false)
 }
 
-/// [`validate`] for the `--grid large` tier: the same required core, plus
-/// the fixed optional extras in [`LARGE_ENTRY_KEYS`] (type-checked when
+/// [`validate`] for the `--grid large` tier: the same fields, plus the
+/// fixed optional extras in [`LARGE_ENTRY_KEYS`] (type-checked when
 /// present; anything else is still rejected).
 fn validate_large(snapshot: &Value) -> Result<(), String> {
     validate_profile(snapshot, true)
@@ -86,8 +87,10 @@ fn validate_profile(snapshot: &Value, large: bool) -> Result<(), String> {
             return Err(format!("entry {i} is not an object"));
         };
         for key in e.keys() {
-            let extra = large && LARGE_ENTRY_KEYS.contains(&key.as_str());
-            if !ENTRY_KEYS.contains(&key.as_str()) && !extra {
+            let key = key.as_str();
+            let extra =
+                WARM_ENTRY_KEYS.contains(&key) || (large && LARGE_ENTRY_KEYS.contains(&key));
+            if !ENTRY_KEYS.contains(&key) && !extra {
                 return Err(format!("entry {i}: unknown field {key:?}"));
             }
         }
@@ -118,24 +121,16 @@ fn validate_profile(snapshot: &Value, large: bool) -> Result<(), String> {
                 return Err(format!("entry {i}: {key} must be a float"));
             }
         }
-        if large {
-            if let Some(v) = e.get("backend") {
-                if v.as_str().is_none() {
-                    return Err(format!("entry {i}: backend must be a string"));
-                }
+        for key in WARM_ENTRY_KEYS {
+            if e.get(key).is_some_and(|v| !is_u64(v)) {
+                return Err(format!("entry {i}: {key} must be an unsigned integer"));
             }
-            if let Some(v) = e.get("speedup_vs_json") {
-                if !is_f64(v) {
-                    return Err(format!("entry {i}: speedup_vs_json must be a float"));
-                }
-            }
-            for key in ["delta_changes", "rounds_reused", "rounds_repaired"] {
-                if let Some(v) = e.get(key) {
-                    if !is_u64(v) {
-                        return Err(format!("entry {i}: {key} must be an unsigned integer"));
-                    }
-                }
-            }
+        }
+        if e.get("backend").is_some_and(|v| v.as_str().is_none()) {
+            return Err(format!("entry {i}: backend must be a string"));
+        }
+        if e.get("speedup_vs_json").is_some_and(|v| !is_f64(v)) {
+            return Err(format!("entry {i}: speedup_vs_json must be a float"));
         }
     }
     Ok(())
@@ -155,6 +150,7 @@ fn committed_snapshots_round_trip_strictly() {
     for (name, check) in [
         ("BENCH_5.json", validate as fn(&Value) -> Result<(), String>),
         ("BENCH_7.json", validate),
+        ("BENCH_8.json", validate),
         ("BENCH_9.json", validate_large),
         ("BENCH_15.json", validate_large),
     ] {
@@ -174,6 +170,7 @@ fn snapshot_pr_stamps_identify_the_files() {
     for (name, pr) in [
         ("BENCH_5.json", 5),
         ("BENCH_7.json", 7),
+        ("BENCH_8.json", 8),
         ("BENCH_9.json", 9),
         ("BENCH_15.json", 15),
     ] {
@@ -300,4 +297,79 @@ fn missing_field_is_rejected() {
     };
     first.remove("wall_ms");
     assert!(validate(&snapshot).unwrap_err().contains("wall_ms"));
+}
+
+/// The warm-pass extras are optional in every profile, but typed: BENCH_8's
+/// warm rows validate strictly, and a non-integer warm field is rejected.
+#[test]
+fn warm_fields_are_accepted_and_type_checked() {
+    for (key, bad) in [
+        ("delta_changes", Value::String("3".into())),
+        ("rounds_reused", Value::Number(Number::F64(1.5))),
+        ("rounds_repaired", Value::Number(Number::I64(-1))),
+    ] {
+        let mut snapshot = committed("BENCH_8.json");
+        let Value::Object(obj) = &mut snapshot else {
+            unreachable!()
+        };
+        let Some(Value::Array(entries)) = obj.get_mut("entries") else {
+            unreachable!()
+        };
+        let warm = entries
+            .iter_mut()
+            .find_map(|e| match e {
+                Value::Object(e)
+                    if e.get("solver").and_then(Value::as_str) == Some("delta-warm") =>
+                {
+                    Some(e)
+                }
+                _ => None,
+            })
+            .expect("BENCH_8.json has delta-warm entries");
+        warm.insert(key.into(), bad);
+        let err = validate(&snapshot).unwrap_err();
+        assert!(
+            err.contains(&format!("{key} must be an unsigned integer")),
+            "{key}: {err}"
+        );
+    }
+}
+
+/// What the runner writes today passes the strict profile: a fresh
+/// `--grid small` snapshot from the built binary, warm rows included.
+#[test]
+fn fresh_small_grid_snapshot_validates_strictly() {
+    let out = std::env::temp_dir().join(format!("pcover-schema-small-{}.json", std::process::id()));
+    let status = Command::new(env!("CARGO_BIN_EXE_pcover"))
+        .args(["bench-snapshot", "--grid", "small", "--out"])
+        .arg(&out)
+        .status()
+        .expect("spawn pcover");
+    assert!(status.success(), "bench-snapshot --grid small: {status}");
+    let text = std::fs::read_to_string(&out).expect("read snapshot");
+    std::fs::remove_file(&out).ok();
+    let snapshot: Value = serde_json::from_str(&text).expect("parse snapshot");
+    validate(&snapshot).unwrap_or_else(|e| panic!("fresh small grid: {e}"));
+
+    let entries = snapshot
+        .get("entries")
+        .and_then(Value::as_array)
+        .expect("entries");
+    assert_eq!(entries.len(), 24);
+    let solver = |e: &Value| e.get("solver").and_then(Value::as_str).map(str::to_string);
+    for (name, keys) in [
+        ("delta-cold", &["delta_changes"][..]),
+        ("delta-warm", &WARM_ENTRY_KEYS[..]),
+    ] {
+        let rows: Vec<_> = entries
+            .iter()
+            .filter(|e| solver(e).as_deref() == Some(name))
+            .collect();
+        assert_eq!(rows.len(), 4, "{name}: 2 variants x 2 budgets");
+        for e in rows {
+            for key in keys {
+                assert!(e.get(key).is_some(), "{name} entry without {key}");
+            }
+        }
+    }
 }

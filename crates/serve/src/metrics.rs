@@ -1,4 +1,4 @@
-//! Serving metrics: lock-free counters and fixed-bucket latency
+//! Serving metrics: lock-free counters and cumulative fixed-bucket latency
 //! histograms, rendered as a plain-text `key value` dump on `/metrics`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -52,8 +52,12 @@ impl EndpointStats {
             "endpoint_{name}_latency_ms_total {}",
             self.total_us.load(Ordering::Relaxed) / 1000
         );
+        // Buckets render cumulatively, as their `le_` labels say: each
+        // line counts every request at or under its edge, so `le_inf`
+        // equals the request count.
+        let mut count = 0;
         for (i, bucket) in self.buckets.iter().enumerate() {
-            let count = bucket.load(Ordering::Relaxed);
+            count += bucket.load(Ordering::Relaxed);
             match LATENCY_BUCKETS_US.get(i) {
                 // f64 Display is shortest-roundtrip: 50us prints as
                 // `0.05`, 1000us as `1` — integral edges keep their old
@@ -232,11 +236,11 @@ mod tests {
         let mut out = String::new();
         stats.render("t", &mut out);
         assert!(out.contains("endpoint_t_requests 6"));
-        assert!(out.contains("endpoint_t_latency_ms_le_0.05 2"));
-        assert!(out.contains("endpoint_t_latency_ms_le_5 1"));
-        assert!(out.contains("endpoint_t_latency_ms_le_50 1"));
-        assert!(out.contains("endpoint_t_latency_ms_le_500 1"));
-        assert!(out.contains("endpoint_t_latency_ms_le_inf 1"));
+        assert!(out.contains("endpoint_t_latency_ms_le_0.05 2\n"));
+        assert!(out.contains("endpoint_t_latency_ms_le_5 3\n"));
+        assert!(out.contains("endpoint_t_latency_ms_le_50 4\n"));
+        assert!(out.contains("endpoint_t_latency_ms_le_500 5\n"));
+        assert!(out.contains("endpoint_t_latency_ms_le_inf 6\n"));
     }
 
     #[test]

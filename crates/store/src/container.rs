@@ -44,18 +44,6 @@ pub enum OpenMode {
     Pread,
 }
 
-impl OpenMode {
-    /// Parses a CLI token.
-    pub fn parse(token: &str) -> Option<Self> {
-        match token {
-            "auto" => Some(OpenMode::Auto),
-            "mmap" => Some(OpenMode::Mmap),
-            "pread" => Some(OpenMode::Pread),
-            _ => None,
-        }
-    }
-}
-
 /// Which backend actually served a load.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LoadPath {
