@@ -38,15 +38,6 @@ fn bench_lazy_vs_plain(c: &mut Criterion) {
         group.bench_function(&format!("lazy_k{k}"), |b| {
             b.iter(|| black_box(lazy::solve::<Independent>(&g, k).unwrap().cover))
         });
-        group.bench_function(&format!("partitioned_k{k}"), |b| {
-            b.iter(|| {
-                black_box(
-                    pcover_core::partitioned::solve::<Independent>(&g, k)
-                        .unwrap()
-                        .cover,
-                )
-            })
-        });
     }
     group.finish();
 }

@@ -92,7 +92,7 @@ pub fn run(opts: &Opts) -> String {
         out.push_str(&format!("\nskipped: {}\n", skipped.join("; ")));
     }
     out.push_str(
-        "\nlazy/parallel/partitioned must match plain's cover exactly; stochastic trades a\n\
+        "\nlazy/delta/parallel return plain's answer bit for bit; stochastic trades a\n\
          bounded expected loss for k-independent work; sieve pays ~half the cover for a single\n\
          pass; local search refines lazy's output by best-improvement swaps (16 max here).\n",
     );

@@ -1,25 +1,57 @@
 //! Minimal `--key value` argument parsing.
 //!
 //! A hand-rolled parser keeps the dependency tree small (see DESIGN.md);
-//! the grammar is `<subcommand> <positional>{arity} (--key value | --flag)*`
-//! where the positional arity is declared per subcommand in
-//! [`positional_arity`] — zero for every command except the file-operand
-//! container commands (`convert`, `probe`). Positionals must precede
-//! options; a stray positional after a zero-arity subcommand is still a
-//! usage error.
+//! the grammar is `<subcommand> <positional>{arity} (--key value | --flag)*`.
+//! `SYNTAX` lists, per subcommand, its exact positional arity and every
+//! option name it reads (valued or flag). Positionals must precede
+//! options. A stray positional or an option its subcommand does not list
+//! is a usage error. A subcommand missing from the table is not checked
+//! here: it parses, and dispatch rejects it as unknown.
 
 use std::collections::HashMap;
 
 use crate::CliError;
 
-/// How many positional operands a subcommand takes (exactly). Commands not
-/// listed here accept none, so `pcover solve stray` stays a usage error.
-fn positional_arity(command: &str) -> usize {
-    match command {
-        "convert" => 2,
-        "probe" => 1,
-        _ => 0,
-    }
+/// Each subcommand's grammar: its name, how many positional operands it
+/// takes (exactly), and every `--name` it reads (valued options and flags
+/// alike, space-separated). One row per subcommand `commands::run`
+/// dispatches.
+const SYNTAX: [(&str, usize, &str); 16] = [
+    ("generate", 0, "profile scale seed out format"),
+    ("diagnose", 0, "input"),
+    ("adapt", 0, "input variant out min-support"),
+    ("stats", 0, "graph"),
+    (
+        "solve",
+        0,
+        "graph k variant algorithm threads seed top out trace progress",
+    ),
+    ("minimize", 0, "graph threshold variant"),
+    ("repair", 0, "graph report variant max-changes"),
+    ("export-dot", 0, "graph out report min-weight"),
+    ("closure", 0, "graph out depth min-weight combine"),
+    ("delta", 0, "graph changes out"),
+    (
+        "serve",
+        0,
+        "graph threads port host queue cache deadline-ms",
+    ),
+    ("convert", 2, "to variant"),
+    ("probe", 1, "verify"),
+    ("gen-graph", 0, "nodes out degree seed normalized container"),
+    ("bench-snapshot", 0, "out grid seed pr repeats smoke"),
+    ("help", 0, ""),
+];
+
+/// The positional arity and option names of `command`'s `SYNTAX` row.
+fn syntax(command: &str) -> Option<(usize, &'static str)> {
+    let &(_, arity, options) = SYNTAX.iter().find(|&&(name, ..)| name == command)?;
+    Some((arity, options))
+}
+
+/// Whether a row's space-separated `options` include `key`.
+fn lists(options: &str, key: &str) -> bool {
+    options.split(' ').any(|o| o == key)
 }
 
 /// Parsed arguments: a subcommand plus positionals and key→value options.
@@ -46,7 +78,8 @@ impl Args {
                 "expected a subcommand before options, found {command:?}"
             )));
         }
-        let arity = positional_arity(&command);
+        let syntax = syntax(&command);
+        let arity = syntax.map_or(0, |(arity, _)| arity);
         let mut positionals = Vec::new();
         while positionals.len() < arity {
             match iter.peek() {
@@ -65,6 +98,9 @@ impl Args {
                 .to_owned();
             if key.is_empty() {
                 return Err(CliError("empty option name".into()));
+            }
+            if syntax.is_some_and(|(_, options)| !lists(options, &key)) {
+                return Err(CliError(format!("{command} does not take --{key}")));
             }
             match iter.peek() {
                 Some(next) if !next.starts_with("--") => {
@@ -92,8 +128,19 @@ impl Args {
             .ok_or_else(|| CliError(format!("missing required operand <{name}>")))
     }
 
+    /// Whether this subcommand's `SYNTAX` row lists `key`: a command that
+    /// reads an unlisted option fails its own tests.
+    fn declares(&self, key: &str) -> bool {
+        syntax(&self.command).is_some_and(|(_, options)| lists(options, key))
+    }
+
     /// A required string option.
     pub fn required(&self, key: &str) -> Result<&str, CliError> {
+        debug_assert!(
+            self.declares(key),
+            "{} reads unlisted --{key}",
+            self.command
+        );
         self.options
             .get(key)
             .map(String::as_str)
@@ -102,6 +149,11 @@ impl Args {
 
     /// An optional string option.
     pub fn optional(&self, key: &str) -> Option<&str> {
+        debug_assert!(
+            self.declares(key),
+            "{} reads unlisted --{key}",
+            self.command
+        );
         self.options.get(key).map(String::as_str)
     }
 
@@ -124,6 +176,11 @@ impl Args {
 
     /// Whether a boolean flag was given.
     pub fn flag(&self, key: &str) -> bool {
+        debug_assert!(
+            self.declares(key),
+            "{} reads unlisted --{key}",
+            self.command
+        );
         self.flags.iter().any(|f| f == key)
     }
 }
@@ -138,13 +195,14 @@ mod tests {
 
     #[test]
     fn parses_command_options_and_flags() {
-        let a = parse(&["solve", "--k", "10", "--graph", "g.json", "--verbose"]).unwrap();
+        let a = parse(&["solve", "--k", "10", "--graph", "g.json", "--progress"]).unwrap();
         assert_eq!(a.command, "solve");
         assert_eq!(a.required("k").unwrap(), "10");
         assert_eq!(a.required_parse::<usize>("k").unwrap(), 10);
         assert_eq!(a.optional("graph"), Some("g.json"));
-        assert!(a.flag("verbose"));
-        assert!(!a.flag("quiet"));
+        assert!(a.flag("progress"));
+        assert!(!a.flag("k"), "a valued option is not a flag");
+        assert_eq!(a.optional("out"), None);
     }
 
     #[test]
@@ -204,5 +262,28 @@ mod tests {
         // A third operand after convert's two is a usage error.
         assert!(parse(&["convert", "a", "b", "c"]).is_err());
         assert!(parse(&["probe", "a", "b"]).is_err());
+    }
+
+    #[test]
+    fn every_subcommand_rejects_unlisted_options() {
+        for (command, arity, options) in SYNTAX {
+            let mut tokens = vec![command];
+            tokens.extend(std::iter::repeat_n("operand", arity));
+            // Every listed option parses, as a flag or with a value.
+            for key in options.split_whitespace() {
+                let flag = format!("--{key}");
+                let mut with = tokens.clone();
+                with.push(&flag);
+                assert!(parse(&with).is_ok(), "{command} --{key}");
+                with.push("1");
+                assert!(parse(&with).is_ok(), "{command} --{key} 1");
+            }
+            for bogus in [&["--bogus"][..], &["--bogus", "1"]] {
+                let mut with = tokens.clone();
+                with.extend(bogus);
+                let err = parse(&with).unwrap_err().to_string();
+                assert!(err.contains("--bogus"), "{command}: {err}");
+            }
+        }
     }
 }

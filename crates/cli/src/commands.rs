@@ -1563,7 +1563,7 @@ mod tests {
             &graph,
         ])
         .unwrap();
-        for algo in ["stochastic", "sieve", "local-search", "partitioned"] {
+        for algo in ["stochastic", "sieve", "local-search"] {
             let out = run_tokens(&[
                 "solve",
                 "--graph",
@@ -1644,11 +1644,14 @@ mod tests {
         assert!(out.contains("retained 5"), "{out}");
 
         // The unknown-algorithm error suggests every registered name,
-        // including the fixture.
-        let err = solve("nope").unwrap_err().to_string();
-        assert!(err.contains("unknown algorithm"), "{err}");
-        assert!(err.contains("fixture-greedy"), "{err}");
-        assert!(err.contains("lazy"), "{err}");
+        // including the fixture. A deleted solver's name is as unknown as
+        // any other.
+        for unknown in ["nope", "partitioned"] {
+            let err = solve(unknown).unwrap_err().to_string();
+            assert!(err.contains("unknown algorithm"), "{err}");
+            assert!(err.contains("fixture-greedy"), "{err}");
+            assert!(err.contains("lazy"), "{err}");
+        }
     }
 
     #[test]

@@ -75,6 +75,27 @@ fn usage_errors_exit_2_with_help_on_stderr() {
     // Duplicate option.
     let out = pcover(&["solve", "--k", "1", "--k", "2"]);
     assert_eq!(out.status.code(), Some(2));
+
+    // An option the subcommand does not take: a typo of `--repeats`, and
+    // the removed `--warm`. Neither may run the grid and write `--out`.
+    for (bad, args) in [
+        ("--repeat", &["--grid", "small", "--repeat", "5"][..]),
+        ("--warm", &["--warm"][..]),
+    ] {
+        let snapshot = tmp(&format!("rejected{bad}.json"));
+        let mut argv = vec!["bench-snapshot", "--out", &snapshot];
+        argv.extend(args);
+        let out = pcover(&argv);
+        assert_eq!(out.status.code(), Some(2), "{argv:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(bad), "{argv:?}: {err}");
+        assert!(err.contains("USAGE"), "{argv:?}: usage text should follow");
+        assert!(out.stdout.is_empty(), "{argv:?}");
+        assert!(
+            !PathBuf::from(&snapshot).exists(),
+            "{argv:?} wrote a snapshot"
+        );
+    }
 }
 
 #[test]

@@ -160,6 +160,11 @@ impl CoverState {
     pub fn selection_mask(&self) -> &[bool] {
         &self.in_set
     }
+
+    /// Moves the retained order and the `I` array out of a finished state.
+    pub(crate) fn into_parts(self) -> (Vec<ItemId>, Vec<f64>) {
+        (self.order, self.i)
+    }
 }
 
 #[cfg(test)]

@@ -12,13 +12,14 @@ use std::time::Instant;
 use pcover_graph::{ItemId, PreferenceGraph};
 
 use crate::cover::CoverState;
-use crate::greedy::finish;
-use crate::report::{Algorithm, SolveReport};
+use crate::greedy::complete;
+use crate::report::SolveReport;
+use crate::solver::SolveCtx;
 use crate::variant::CoverModel;
 use crate::SolveError;
 
 /// Solves for budget `k` with `prefix` forced into the retained set (in the
-/// given order), completing the remainder with lazy-style greedy scans.
+/// given order), completing the remainder with plain greedy's round loop.
 ///
 /// The submodular guarantee degrades gracefully: the completion is a
 /// `(1 − 1/e)`-approximation of the best completion *given* the prefix.
@@ -60,37 +61,7 @@ pub fn solve_with_prefix<M: CoverModel>(
         state.add_node::<M>(g, v);
         trajectory.push(state.cover());
     }
-
-    let mut gain_evaluations = 0u64;
-    for _ in prefix.len()..k {
-        let mut best: Option<(f64, ItemId)> = None;
-        for v in g.node_ids() {
-            if state.contains(v) {
-                continue;
-            }
-            let gain = state.gain::<M>(g, v);
-            gain_evaluations += 1;
-            let better = crate::float::improves_argmax(gain, v, best);
-            if better {
-                best = Some((gain, v));
-            }
-        }
-        let Some((_, chosen)) = best else {
-            return Err(SolveError::internal(
-                "pinned greedy found no candidate despite k <= n",
-            ));
-        };
-        state.add_node::<M>(g, chosen);
-        trajectory.push(state.cover());
-    }
-
-    Ok(finish::<M>(
-        Algorithm::Greedy,
-        state,
-        trajectory,
-        started,
-        gain_evaluations,
-    ))
+    complete::<M>(g, k, state, trajectory, started, &mut SolveCtx::default())
 }
 
 #[cfg(test)]

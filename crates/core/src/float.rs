@@ -42,8 +42,8 @@ pub fn cmp_gain(a: f64, b: f64) -> Ordering {
 /// The canonical greedy argmax tie-break: candidate `(gain, v)` replaces the
 /// incumbent `best` iff its gain is strictly larger, or exactly equal with a
 /// smaller node id. Exact equality (not a tolerance) is deliberate — it is
-/// what makes every solver variant (plain, lazy, parallel, partitioned)
-/// select bit-identical sets, which the determinism tests assert. Generic
+/// what makes every greedy-family solver (plain, low-memory, lazy, delta,
+/// parallel) select bit-identical sets, which the determinism tests assert. Generic
 /// over the id type because some solvers work on raw `usize` indices and
 /// others on `ItemId`.
 #[inline]

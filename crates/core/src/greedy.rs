@@ -56,12 +56,31 @@ pub fn solve_with<M: CoverModel>(
     if k > n {
         return Err(SolveError::KTooLarge { k, n });
     }
+    complete::<M>(
+        g,
+        k,
+        CoverState::new(n),
+        Vec::with_capacity(k),
+        started,
+        ctx,
+    )
+}
 
-    let mut state = CoverState::new(n);
-    let mut trajectory = Vec::with_capacity(k);
+/// Algorithm 1's round loop from a seeded state: each round scans every
+/// non-retained node and retains the largest gain (ties to the smaller id)
+/// until `k` items are retained. `trajectory` holds the covers of the items
+/// `state` already retains; only the rounds run here count evaluations.
+/// Callers check `k <= n`.
+pub(crate) fn complete<M: CoverModel>(
+    g: &PreferenceGraph,
+    k: usize,
+    mut state: CoverState,
+    mut trajectory: Vec<f64>,
+    started: Instant,
+    ctx: &mut SolveCtx<'_>,
+) -> Result<SolveReport, SolveError> {
     let mut gain_evaluations = 0u64;
-
-    for iter in 0..k {
+    for iter in state.len()..k {
         ctx.check_cancelled()?;
         let mut best: Option<(f64, ItemId)> = None;
         let mut round_evals = 0u64;
@@ -268,7 +287,7 @@ pub(crate) fn finish<M: CoverModel>(
     gain_evaluations: u64,
 ) -> SolveReport {
     let cover = state.cover();
-    let (order, item_cover) = state_into_parts(state);
+    let (order, item_cover) = state.into_parts();
     SolveReport {
         algorithm,
         variant: M::VARIANT,
@@ -279,11 +298,6 @@ pub(crate) fn finish<M: CoverModel>(
         elapsed: started.elapsed(),
         gain_evaluations,
     }
-}
-
-fn state_into_parts(state: CoverState) -> (Vec<ItemId>, Vec<f64>) {
-    // lint: allow(alloc-in-hot-loop) — ownership transfer into the final report; one copy per materialized result, not per round
-    (state.order().to_vec(), state.item_cover().to_vec())
 }
 
 #[cfg(test)]

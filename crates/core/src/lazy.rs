@@ -9,10 +9,13 @@
 //! recompute and reinsert; when it surfaces fresh, its gain is a valid
 //! maximum and it is selected.
 //!
-//! The selected *set* has exactly the same quality guarantee as plain
-//! greedy; the only possible divergence from [`greedy::solve`] is
-//! tie-breaking among equal gains. On the paper's datasets lazy greedy is
-//! orders of magnitude faster because most nodes never have their gain
+//! Every gain is the same `CoverState::gain` arithmetic plain greedy runs,
+//! and exact ties are broken in the heap's own order (larger gain, then
+//! smaller id), the order of Algorithm 1's scan. So the output (order,
+//! cover and trajectory) is bit-identical to [`greedy::solve`]'s, which
+//! the determinism grid pins on random, clustered and all-ties graphs;
+//! only the evaluation count differs. On the paper's datasets lazy greedy
+//! is orders of magnitude faster because most nodes never have their gain
 //! recomputed after the first round.
 //!
 //! [`greedy::solve`]: crate::greedy::solve
@@ -70,7 +73,7 @@ impl PartialOrd for Entry {
 /// let g = figure1();
 /// let fast = lazy::solve::<Independent>(&g, 3).unwrap();
 /// let plain = greedy::solve::<Independent>(&g, 3).unwrap();
-/// assert!((fast.cover - plain.cover).abs() < 1e-12);
+/// assert!(fast.bit_identical_to(&plain));
 /// assert!(fast.gain_evaluations <= plain.gain_evaluations);
 /// ```
 ///
@@ -115,7 +118,7 @@ pub fn spec() -> SolverSpec {
     SolverSpec::new(
         "lazy",
         Algorithm::LazyGreedy,
-        "Lazy greedy: stale-gain max-heap, same set quality as greedy, near-linear in practice",
+        "Lazy greedy: stale-gain max-heap, bit-identical to greedy, near-linear in practice",
         SolverCaps {
             prefix_chain: true,
             ..SolverCaps::default()
@@ -192,20 +195,22 @@ fn solve_impl<M: CoverModel>(
                 break;
             }
             gain_evaluations += 1;
-            let gain = state.gain::<M>(g, top.node);
-            if gain >= heap.peek().map_or(f64::NEG_INFINITY, |e| e.gain) {
-                // Still at least as good as every (upper-bounded) rival:
-                // select immediately without reinsertion.
-                state.add_node::<M>(g, top.node);
-                trajectory.push(state.cover());
-                ctx.emit_select(round - 1, top.node, gain, state.cover());
-                break;
-            }
-            heap.push(Entry {
-                gain,
+            let fresh = Entry {
+                gain: state.gain::<M>(g, top.node),
                 round,
                 node: top.node,
-            });
+            };
+            // The peeked key only bounds its rival's true gain, which may
+            // equal it exactly; so select only when the fresh entry beats
+            // the peeked one in the heap's own order (gain, then smaller
+            // id), as Algorithm 1's scan would. Otherwise reinsert it.
+            if heap.peek().is_none_or(|rival| fresh > *rival) {
+                state.add_node::<M>(g, fresh.node);
+                trajectory.push(state.cover());
+                ctx.emit_select(round - 1, fresh.node, fresh.gain, state.cover());
+                break;
+            }
+            heap.push(fresh);
         }
         ctx.emit_round_stats(RoundStats {
             iter: round - 1,
@@ -238,8 +243,7 @@ mod tests {
         for k in 0..=5 {
             let plain = greedy::solve::<Normalized>(&g, k).unwrap();
             let lazy = solve::<Normalized>(&g, k).unwrap();
-            assert_eq!(plain.order, lazy.order, "k = {k}");
-            assert!((plain.cover - lazy.cover).abs() < 1e-12);
+            assert!(lazy.bit_identical_to(&plain), "k = {k}");
         }
     }
 
@@ -270,18 +274,10 @@ mod tests {
             let k = 10;
             let plain_i = greedy::solve::<Independent>(&g, k).unwrap();
             let lazy_i = solve::<Independent>(&g, k).unwrap();
-            assert!(
-                (plain_i.cover - lazy_i.cover).abs() < 1e-9,
-                "independent seed {seed}: {} vs {}",
-                plain_i.cover,
-                lazy_i.cover
-            );
+            assert!(lazy_i.bit_identical_to(&plain_i), "independent seed {seed}");
             let plain_n = greedy::solve::<Normalized>(&g, k).unwrap();
             let lazy_n = solve::<Normalized>(&g, k).unwrap();
-            assert!(
-                (plain_n.cover - lazy_n.cover).abs() < 1e-9,
-                "normalized seed {seed}"
-            );
+            assert!(lazy_n.bit_identical_to(&plain_n), "normalized seed {seed}");
         }
     }
 
@@ -297,7 +293,7 @@ mod tests {
             lazy.gain_evaluations,
             plain.gain_evaluations
         );
-        assert!((lazy.cover - plain.cover).abs() < 1e-9);
+        assert!(lazy.bit_identical_to(&plain));
     }
 
     #[test]

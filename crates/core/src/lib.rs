@@ -22,7 +22,7 @@
 //! | Module | Algorithm | Guarantee | Notes |
 //! |---|---|---|---|
 //! | [`greedy`] | Algorithm 1 of the paper (with variant-specific `Gain`/`AddNode`, Algorithms 2–5) | `1 − 1/e` for IPC (tight); `max{1 − 1/e, 1 − (1 − k/n)²}` for NPC | `O(nkD)` |
-//! | [`lazy`] | Lazy greedy with a stale-gain priority queue | same set quality (both cover functions are monotone submodular) | near-linear in practice |
+//! | [`lazy`] | Lazy greedy with a stale-gain priority queue | identical result to [`greedy`] (both cover functions are monotone submodular) | near-linear in practice |
 //! | [`delta`] | Dirty-set gain maintenance (cached gains, CSR-derived invalidation, tournament-tree argmax) | identical result to [`greedy`] | `O(n)` first round, `O(dirty · log n)` after |
 //! | [`parallel`] | Rayon data-parallel gain scans | identical result to [`greedy`] | `O(k + nkD/N)` on `N` threads |
 //! | [`brute_force`] | Exact enumeration | optimal | tiny instances only (the paper's BF baseline) |
@@ -64,7 +64,6 @@ pub mod local_search;
 pub mod maxvc;
 pub mod minimize;
 pub mod parallel;
-pub mod partitioned;
 pub mod pool;
 pub mod solver;
 pub mod stochastic;

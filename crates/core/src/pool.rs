@@ -9,7 +9,7 @@
 //!
 //! Sharing a pool cannot perturb solver output: the parallel solvers gather
 //! per-chunk results into slot-indexed collections and reduce them
-//! sequentially (see `parallel.rs` and `partitioned.rs`), so the answer is
+//! sequentially (see `parallel.rs`), so the answer is
 //! a pure function of the chunk boundaries, never of which worker ran a
 //! chunk or in what order. `WorkStats` attribution is by chunk slot for the same
 //! reason, so it is also unaffected by pool reuse.

@@ -23,9 +23,6 @@ pub enum Algorithm {
     DeltaGreedy,
     /// Rayon-parallel greedy.
     ParallelGreedy,
-    /// Component-partitioned greedy (per-component lazy + exact k-way
-    /// merge).
-    Partitioned,
     /// Exact brute force (the paper's BF baseline).
     BruteForce,
     /// Top-k items by node weight (TopK-W baseline).
@@ -54,7 +51,6 @@ impl Algorithm {
             Algorithm::LazyGreedy => "Greedy(lazy)",
             Algorithm::DeltaGreedy => "Greedy(delta)",
             Algorithm::ParallelGreedy => "Greedy(par)",
-            Algorithm::Partitioned => "Greedy(part)",
             Algorithm::BruteForce => "BF",
             Algorithm::TopKWeight => "TopK-W",
             Algorithm::TopKCoverage => "TopK-C",
@@ -69,12 +65,11 @@ impl Algorithm {
     /// Every algorithm, in the canonical presentation order. The solver
     /// registry's conformance suite checks each is produced by a registered
     /// spec, so this list cannot drift from the dispatchable set.
-    pub const ALL: [Algorithm; 13] = [
+    pub const ALL: [Algorithm; 12] = [
         Algorithm::Greedy,
         Algorithm::LazyGreedy,
         Algorithm::DeltaGreedy,
         Algorithm::ParallelGreedy,
-        Algorithm::Partitioned,
         Algorithm::BruteForce,
         Algorithm::TopKWeight,
         Algorithm::TopKCoverage,
@@ -95,7 +90,6 @@ impl Algorithm {
             Algorithm::LazyGreedy => "lazy",
             Algorithm::DeltaGreedy => "delta",
             Algorithm::ParallelGreedy => "parallel",
-            Algorithm::Partitioned => "partitioned",
             Algorithm::BruteForce => "bf",
             Algorithm::TopKWeight => "topk-w",
             Algorithm::TopKCoverage => "topk-c",

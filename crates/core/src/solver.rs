@@ -27,7 +27,7 @@
 //! item and `on_round_stats` once per completed round. Incremental solvers
 //! (greedy, lazy, parallel, stochastic) emit *live*, as items are chosen;
 //! solvers whose solution is assembled at the end (brute force, baselines,
-//! sieve, partitioned merge, local search, MaxVC) replay the finished
+//! sieve, local search, MaxVC) replay the finished
 //! report through [`SolveCtx::emit_report`], so in every case the event
 //! stream matches the returned `order`/`trajectory` exactly. Observers only
 //! *read* values the solver already computed — they cannot perturb
@@ -287,7 +287,7 @@ impl<'o> SolveCtx<'o> {
     /// Replays a finished report's selection sequence through the observer.
     ///
     /// Solvers that assemble their solution at the end (brute force,
-    /// baselines, sieve, partitioned merge, local search, MaxVC) call this
+    /// baselines, sieve, local search, MaxVC) call this
     /// so their event stream matches the returned `order`/`trajectory`,
     /// exactly as live-emitting solvers' streams do.
     pub fn emit_report(&mut self, report: &SolveReport) {
@@ -542,7 +542,6 @@ impl Registry {
             crate::lazy::spec(),
             crate::delta::spec(),
             crate::parallel::spec(),
-            crate::partitioned::spec(),
             crate::brute_force::spec(),
             crate::baselines::top_k_weight_spec(),
             crate::baselines::top_k_coverage_spec(),

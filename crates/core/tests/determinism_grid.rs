@@ -2,8 +2,8 @@
 //! `par-argmax`/`par-float-accum` audit rules.
 //!
 //! For a grid of seeds × cover model (IPC, NPC) × budget `k`, the parallel
-//! solver (across several thread counts), the partitioned solver, and the
-//! delta solver (cold, and as a warm repair after a graph delta) must
+//! solver (across several thread counts), lazy greedy, and the delta solver
+//! (cold, and as a warm repair after a graph delta) must
 //! return **bit-identical** output to sequential greedy: same retained set
 //! in the same selection order, the same cover to the last mantissa bit,
 //! and the same per-step trajectory. Any drift — a changed tie-break, a
@@ -18,8 +18,8 @@
 use rand::{RngExt, SeedableRng};
 
 use pcover_core::{
-    delta, greedy, parallel, partitioned, CoverModel, Independent, Normalized, SolveCtx,
-    SolveReport, WarmState,
+    delta, greedy, lazy, parallel, CoverModel, Independent, Normalized, SolveCtx, SolveReport,
+    WarmState,
 };
 use pcover_graph::delta::{apply, Change, GraphDelta};
 use pcover_graph::{DuplicateEdgePolicy, GraphBuilder, ItemId, PreferenceGraph};
@@ -48,8 +48,8 @@ fn random_graph(n: usize, seed: u64) -> PreferenceGraph {
     b.build().expect("valid graph")
 }
 
-/// A graph of disjoint clusters, so the partitioned solver actually has
-/// several components to merge.
+/// A graph of disjoint clusters: picks from independent components must
+/// interleave into exactly the global greedy order.
 fn clustered_graph(clusters: usize, cluster_size: usize, seed: u64) -> PreferenceGraph {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let mut b = GraphBuilder::new()
@@ -103,12 +103,8 @@ fn run_grid<M: CoverModel>(model_name: &str, g: &PreferenceGraph, graph_name: &s
                 &format!("{graph_name} {model_name} k={k} threads={threads}"),
             );
         }
-        let part = partitioned::solve::<M>(g, k).expect("partitioned greedy");
-        assert_bit_identical(
-            &seq,
-            &part,
-            &format!("{graph_name} {model_name} k={k} partitioned"),
-        );
+        let lz = lazy::solve::<M>(g, k).expect("lazy greedy");
+        assert_bit_identical(&seq, &lz, &format!("{graph_name} {model_name} k={k} lazy"));
         let del = delta::solve::<M>(g, k).expect("delta greedy");
         assert_bit_identical(
             &seq,
@@ -205,9 +201,10 @@ fn uniform_ring(n: usize) -> PreferenceGraph {
     b.build().expect("valid graph")
 }
 
-/// The tie axis on one ring: for every `k` in `0..=n`, delta greedy and
-/// the warm repair (nothing touched, and after one edge upsert) must equal
-/// plain greedy bit for bit.
+/// The tie axis on one ring: for every `k` in `0..=n`, delta greedy, lazy
+/// greedy and the warm repair (nothing touched, and after one edge upsert)
+/// must equal plain greedy bit for bit. Lazy's heap keys are upper bounds
+/// that an untouched rival meets exactly, so this row pins its tie-break.
 fn run_tie_grid<M: CoverModel>(model_name: &str, n: usize) {
     let g = uniform_ring(n);
     // One edge upsert: a chord out of node 0 (for n = 2, a reweight of the
@@ -227,6 +224,8 @@ fn run_tie_grid<M: CoverModel>(model_name: &str, n: usize) {
         let seq = greedy::solve::<M>(&g, k).expect("sequential greedy");
         let del = delta::solve::<M>(&g, k).expect("delta greedy");
         assert_bit_identical(&seq, &del, &format!("{label} delta"));
+        let lz = lazy::solve::<M>(&g, k).expect("lazy greedy");
+        assert_bit_identical(&seq, &lz, &format!("{label} lazy"));
         let warm_state = WarmState::capture::<M>(&g, &seq.order);
         let warm = delta::resolve_warm::<M>(&g, k, &[], &warm_state, &mut SolveCtx::default())
             .expect("warm re-solve, nothing touched");
@@ -271,7 +270,7 @@ fn warm_resolve_matches_cold_across_seeds_models_and_delta_sizes() {
 }
 
 #[test]
-fn parallel_and_partitioned_match_greedy_on_random_graphs() {
+fn greedy_family_matches_greedy_on_random_graphs() {
     for seed in SEEDS {
         let g = random_graph(60, seed);
         run_grid::<Independent>("IPC", &g, &format!("random(seed={seed})"));
@@ -280,10 +279,7 @@ fn parallel_and_partitioned_match_greedy_on_random_graphs() {
 }
 
 #[test]
-fn parallel_and_partitioned_match_greedy_on_clustered_graphs() {
-    // Disjoint components exercise the partitioned solver's k-way merge:
-    // per-component greedy sequences must interleave back into exactly the
-    // global greedy order.
+fn greedy_family_matches_greedy_on_clustered_graphs() {
     for seed in SEEDS {
         let g = clustered_graph(6, 10, seed);
         run_grid::<Independent>("IPC", &g, &format!("clustered(seed={seed})"));

@@ -154,13 +154,20 @@ proptest! {
     }
 
     #[test]
-    fn lazy_matches_plain_cover(g in arb_graph(14, false), k_frac in 0.1f64..1.0) {
-        let n = g.node_count();
-        let k = ((n as f64 * k_frac) as usize).clamp(1, n);
+    fn lazy_matches_plain_cover(
+        g in arb_graph(14, false),
+        gn in arb_graph(14, true),
+        k_frac in 0.1f64..1.0,
+    ) {
+        let k_of = |n: usize| ((n as f64 * k_frac) as usize).clamp(1, n);
+        let k = k_of(g.node_count());
         let plain = greedy::solve::<Independent>(&g, k).unwrap();
         let lz = lazy::solve::<Independent>(&g, k).unwrap();
-        prop_assert!((plain.cover - lz.cover).abs() < 1e-9);
-        prop_assert_eq!(plain.order.len(), lz.order.len());
+        prop_assert!(lz.bit_identical_to(&plain), "IPC k = {}", k);
+        let k = k_of(gn.node_count());
+        let plain = greedy::solve::<Normalized>(&gn, k).unwrap();
+        let lz = lazy::solve::<Normalized>(&gn, k).unwrap();
+        prop_assert!(lz.bit_identical_to(&plain), "NPC k = {}", k);
     }
 
     #[test]
@@ -313,19 +320,6 @@ proptest! {
         // Bit for bit, trajectory included: a cached low-memory report's
         // prefix must answer a smaller budget exactly as a fresh solve.
         prop_assert!(standard.bit_identical_to(&low_mem));
-    }
-
-    #[test]
-    fn partitioned_matches_plain_greedy_cover(g in arb_graph(16, false), k_frac in 0.1f64..1.0) {
-        let n = g.node_count();
-        let k = ((n as f64 * k_frac) as usize).clamp(1, n);
-        let plain = greedy::solve::<Independent>(&g, k).unwrap();
-        let part = pcover_core::partitioned::solve::<Independent>(&g, k).unwrap();
-        prop_assert!(
-            (plain.cover - part.cover).abs() < 1e-9,
-            "plain {} vs partitioned {}", plain.cover, part.cover
-        );
-        prop_assert_eq!(part.k(), k);
     }
 
     #[test]

@@ -3,14 +3,14 @@
 //! Real preference graphs decompose into many independent substitution
 //! islands (items in different departments never substitute for each
 //! other). Because a node's cover depends only on its out-neighbors, the
-//! cover function is **additive across weakly connected components** — the
-//! partitioned solver in `pcover-core` exploits this to solve components
-//! independently and merge their greedy sequences.
+//! cover function is **additive across weakly connected components**.
+//! [`GraphStats`](crate::GraphStats) reports the component count and the
+//! largest component's size.
 
 // lint: allow-file(no-index) — ItemId values are dense indices assigned by GraphBuilder and every
 // per-node/per-edge array is sized to node_count/edge_count, so accesses are in
 // bounds by construction.
-use crate::{ItemId, PreferenceGraph};
+use crate::PreferenceGraph;
 
 /// The component decomposition: a dense component id per node.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -22,15 +22,6 @@ pub struct Components {
 }
 
 impl Components {
-    /// The members of each component, in ascending node-id order.
-    pub fn members(&self) -> Vec<Vec<ItemId>> {
-        let mut members: Vec<Vec<ItemId>> = vec![Vec::new(); self.count];
-        for (i, &c) in self.component_of.iter().enumerate() {
-            members[c as usize].push(ItemId::from_index(i));
-        }
-        members
-    }
-
     /// Size of the largest component.
     pub fn largest(&self) -> usize {
         let mut sizes = vec![0usize; self.count];
@@ -105,9 +96,6 @@ mod tests {
         assert_eq!(c.component_of[ids.d.index()], c.component_of[ids.e.index()]);
         assert_ne!(c.component_of[ids.a.index()], c.component_of[ids.d.index()]);
         assert_eq!(c.largest(), 3);
-        let members = c.members();
-        assert_eq!(members[0], vec![ids.a, ids.b, ids.c]);
-        assert_eq!(members[1], vec![ids.d, ids.e]);
     }
 
     #[test]

@@ -68,7 +68,7 @@ pub struct GraphStats {
     /// obeying the Normalized variant).
     pub normalized_fraction: f64,
     /// Number of weakly connected components — independent substitution
-    /// islands the partitioned solver can exploit.
+    /// islands, across which the cover function is additive.
     pub components: usize,
     /// Size of the largest weakly connected component.
     pub largest_component: usize,

@@ -287,9 +287,12 @@ fn end_to_end_solve_cache_swap_deadline_and_shutdown() {
 
     // --- bad input paths --------------------------------------------------
     assert_eq!(get_json(addr, "/solve").0, 400, "missing k");
-    let (status, unknown) = get_json(addr, "/solve?k=2&algorithm=quantum");
-    assert_eq!(status, 400);
-    assert!(text(&unknown, "error").contains("quantum"));
+    // A deleted solver's name is as unknown as any other.
+    for algorithm in ["quantum", "partitioned"] {
+        let (status, unknown) = get_json(addr, &format!("/solve?k=2&algorithm={algorithm}"));
+        assert_eq!(status, 400, "{algorithm}: {unknown}");
+        assert!(text(&unknown, "error").contains(algorithm), "{unknown}");
+    }
     // `threads` is bounded at parse time, before any pool exists for the
     // count. The bound itself is checked on `lazy`, which builds no pool.
     for threads in ["0", "65", "18446744073709551615"] {

@@ -128,12 +128,11 @@ const SHARED_STATE_METHODS: [&str; 11] = [
 /// the dispatch-scoped layers (rule `solver-dispatch`). Shared with the
 /// hot-path pass ([`crate::heatpath`]), whose solve-family entry points
 /// live in these modules.
-pub(crate) const DISPATCH_MODULES: [&str; 11] = [
+pub(crate) const DISPATCH_MODULES: [&str; 10] = [
     "greedy",
     "lazy",
     "delta",
     "parallel",
-    "partitioned",
     "streaming",
     "stochastic",
     "brute_force",

@@ -57,9 +57,6 @@ fn all_solvers_are_internally_deterministic() {
                     greedy::solve::<Independent>(&g, k).unwrap().order,
                     lazy::solve::<Independent>(&g, k).unwrap().order,
                     parallel::solve::<Independent>(&g, k, 3).unwrap().0.order,
-                    preference_cover::solver::partitioned::solve::<Independent>(&g, k)
-                        .unwrap()
-                        .order,
                     stochastic::solve::<Independent>(
                         &g,
                         k,
