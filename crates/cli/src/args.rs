@@ -2,20 +2,20 @@
 //!
 //! A hand-rolled parser keeps the dependency tree small (see DESIGN.md);
 //! the grammar is `<subcommand> <positional>{arity} (--key value | --flag)*`.
-//! `SYNTAX` lists, per subcommand, its exact positional arity and every
-//! option name it reads (valued or flag). Positionals must precede
-//! options. A stray positional or an option its subcommand does not list
-//! is a usage error. A subcommand missing from the table is not checked
-//! here: it parses, and dispatch rejects it as unknown.
+//! `SYNTAX` lists, per subcommand, its exact positional arity, its valued
+//! options and its flags. Positionals must precede options. A stray
+//! positional, an unlisted option, a valued option without a value and a
+//! flag with one are usage errors. A subcommand missing from the table is
+//! not checked here: it parses, and dispatch rejects it as unknown.
 
 use std::collections::HashMap;
 
 use crate::CliError;
 
 /// Each subcommand's grammar: its name, how many positional operands it
-/// takes (exactly), and every `--name` it reads (valued options and flags
-/// alike, space-separated). One row per subcommand `commands::run`
-/// dispatches.
+/// takes (exactly), and every `--name` it reads, space-separated: valued
+/// options, then `|` and the flags it reads bare. One row per subcommand
+/// `commands::run` dispatches.
 const SYNTAX: [(&str, usize, &str); 16] = [
     ("generate", 0, "profile scale seed out format"),
     ("diagnose", 0, "input"),
@@ -24,7 +24,7 @@ const SYNTAX: [(&str, usize, &str); 16] = [
     (
         "solve",
         0,
-        "graph k variant algorithm threads seed top out trace progress",
+        "graph k variant algorithm threads seed top out trace | progress",
     ),
     ("minimize", 0, "graph threshold variant"),
     ("repair", 0, "graph report variant max-changes"),
@@ -37,21 +37,26 @@ const SYNTAX: [(&str, usize, &str); 16] = [
         "graph threads port host queue cache deadline-ms",
     ),
     ("convert", 2, "to variant"),
-    ("probe", 1, "verify"),
-    ("gen-graph", 0, "nodes out degree seed normalized container"),
-    ("bench-snapshot", 0, "out grid seed pr repeats smoke"),
+    ("probe", 1, "| verify"),
+    (
+        "gen-graph",
+        0,
+        "nodes out degree seed | normalized container",
+    ),
+    ("bench-snapshot", 0, "out grid seed pr repeats | smoke"),
     ("help", 0, ""),
 ];
 
-/// The positional arity and option names of `command`'s `SYNTAX` row.
-fn syntax(command: &str) -> Option<(usize, &'static str)> {
+/// `command`'s `SYNTAX` row: arity, valued options and flags.
+fn syntax(command: &str) -> Option<(usize, &'static str, &'static str)> {
     let &(_, arity, options) = SYNTAX.iter().find(|&&(name, ..)| name == command)?;
-    Some((arity, options))
+    let (valued, flags) = options.split_once('|').unwrap_or((options, ""));
+    Some((arity, valued, flags))
 }
 
-/// Whether a row's space-separated `options` include `key`.
-fn lists(options: &str, key: &str) -> bool {
-    options.split(' ').any(|o| o == key)
+/// Whether a space-separated name list includes `key`.
+fn lists(names: &str, key: &str) -> bool {
+    names.split_whitespace().any(|o| o == key)
 }
 
 /// Parsed arguments: a subcommand plus positionals and key→value options.
@@ -79,7 +84,7 @@ impl Args {
             )));
         }
         let syntax = syntax(&command);
-        let arity = syntax.map_or(0, |(arity, _)| arity);
+        let arity = syntax.map_or(0, |(arity, ..)| arity);
         let mut positionals = Vec::new();
         while positionals.len() < arity {
             match iter.peek() {
@@ -99,17 +104,22 @@ impl Args {
             if key.is_empty() {
                 return Err(CliError("empty option name".into()));
             }
-            if syntax.is_some_and(|(_, options)| !lists(options, &key)) {
-                return Err(CliError(format!("{command} does not take --{key}")));
-            }
-            match iter.peek() {
-                Some(next) if !next.starts_with("--") => {
-                    let value = iter.next().expect("peeked");
+            let value = iter.next_if(|next| !next.starts_with("--"));
+            let valued = match syntax {
+                Some((_, valued, _)) if lists(valued, &key) => true,
+                Some((_, _, flags)) if lists(flags, &key) => false,
+                Some(_) => return Err(CliError(format!("{command} does not take --{key}"))),
+                None => value.is_some(),
+            };
+            match (valued, value) {
+                (false, None) => flags.push(key),
+                (true, Some(value)) => {
                     if options.insert(key.clone(), value).is_some() {
                         return Err(CliError(format!("option --{key} given twice")));
                     }
                 }
-                _ => flags.push(key),
+                (true, None) => return Err(CliError(format!("option --{key} needs a value"))),
+                (false, Some(_)) => return Err(CliError(format!("flag --{key} takes no value"))),
             }
         }
         Ok(Args {
@@ -131,7 +141,7 @@ impl Args {
     /// Whether this subcommand's `SYNTAX` row lists `key`: a command that
     /// reads an unlisted option fails its own tests.
     fn declares(&self, key: &str) -> bool {
-        syntax(&self.command).is_some_and(|(_, options)| lists(options, key))
+        syntax(&self.command).is_some_and(|(_, v, f)| lists(v, key) || lists(f, key))
     }
 
     /// A required string option.
@@ -266,17 +276,28 @@ mod tests {
 
     #[test]
     fn every_subcommand_rejects_unlisted_options() {
-        for (command, arity, options) in SYNTAX {
+        for (command, arity, _) in SYNTAX {
+            let (_, valued, flags) = syntax(command).unwrap();
             let mut tokens = vec![command];
             tokens.extend(std::iter::repeat_n("operand", arity));
-            // Every listed option parses, as a flag or with a value.
-            for key in options.split_whitespace() {
-                let flag = format!("--{key}");
-                let mut with = tokens.clone();
-                with.push(&flag);
-                assert!(parse(&with).is_ok(), "{command} --{key}");
-                with.push("1");
-                assert!(parse(&with).is_ok(), "{command} --{key} 1");
+            // Every valued option parses with a value and fails bare; every
+            // flag parses bare and fails with a value.
+            for (names, needs_value) in [(valued, true), (flags, false)] {
+                for key in names.split_whitespace() {
+                    let option = format!("--{key}");
+                    let mut bare = tokens.clone();
+                    bare.push(&option);
+                    let mut with = bare.clone();
+                    with.push("1");
+                    let (good, bad) = if needs_value {
+                        (with, bare)
+                    } else {
+                        (bare, with)
+                    };
+                    assert!(parse(&good).is_ok(), "{good:?}");
+                    let err = parse(&bad).unwrap_err().to_string();
+                    assert!(err.contains(&option), "{bad:?}: {err}");
+                }
             }
             for bogus in [&["--bogus"][..], &["--bogus", "1"]] {
                 let mut with = tokens.clone();

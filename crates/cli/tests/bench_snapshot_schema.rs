@@ -1,14 +1,14 @@
 //! Round-trip guard for the committed bench snapshots: `BENCH_5.json`,
-//! `BENCH_7.json`, `BENCH_8.json`, `BENCH_9.json` and `BENCH_15.json` must
-//! parse against the `pcover-bench-snapshot/1` schema *exactly* — a missing
+//! `BENCH_7.json`, `BENCH_8.json`, `BENCH_9.json`, `BENCH_15.json` and
+//! `BENCH_23.json` must parse against the `pcover-bench-snapshot/1` schema *exactly* — a missing
 //! field or an unknown field fails, so the snapshot format cannot drift
 //! under the CI perf gates that diff the files. A fresh `--grid small` run
 //! of the built binary must pass the same strict check.
 //!
 //! Every grid writes warm-pass entries (`delta-cold` / `delta-warm`), whose
 //! optional extras ([`WARM_ENTRY_KEYS`]) every profile accepts.
-//! `BENCH_9.json` and `BENCH_15.json` are the `--grid large` container
-//! tier; their entries may also carry [`LARGE_ENTRY_KEYS`] (load backend,
+//! `BENCH_9.json`, `BENCH_15.json` and `BENCH_23.json` are the
+//! `--grid large` container tier; their entries may also carry [`LARGE_ENTRY_KEYS`] (load backend,
 //! load speedup). BENCH_5/7.json predate the warm pass and have no warm
 //! entries.
 
@@ -153,6 +153,7 @@ fn committed_snapshots_round_trip_strictly() {
         ("BENCH_8.json", validate),
         ("BENCH_9.json", validate_large),
         ("BENCH_15.json", validate_large),
+        ("BENCH_23.json", validate_large),
     ] {
         let snapshot = committed(name);
         check(&snapshot).unwrap_or_else(|e| panic!("{name}: {e}"));
@@ -173,6 +174,7 @@ fn snapshot_pr_stamps_identify_the_files() {
         ("BENCH_8.json", 8),
         ("BENCH_9.json", 9),
         ("BENCH_15.json", 15),
+        ("BENCH_23.json", 23),
     ] {
         assert_eq!(
             committed(name).get("pr"),

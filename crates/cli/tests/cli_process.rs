@@ -96,6 +96,27 @@ fn usage_errors_exit_2_with_help_on_stderr() {
             "{argv:?} wrote a snapshot"
         );
     }
+
+    // A flag given a value, and a valued option given none. Neither may
+    // run and write its `--out`.
+    for (bad, line) in [
+        (
+            "--normalized",
+            "gen-graph --nodes 200 --degree 3 --seed 9 --normalized yes",
+        ),
+        ("--graph", "solve --graph --k 3 --variant independent"),
+    ] {
+        let written = tmp(&format!("rejected{bad}.json"));
+        let mut argv: Vec<&str> = line.split_whitespace().collect();
+        argv.extend(["--out", &written]);
+        let out = pcover(&argv);
+        assert_eq!(out.status.code(), Some(2), "{argv:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(bad), "{argv:?}: {err}");
+        assert!(err.contains("USAGE"), "{argv:?}: usage text should follow");
+        assert!(out.stdout.is_empty(), "{argv:?}");
+        assert!(!PathBuf::from(&written).exists(), "{argv:?} wrote --out");
+    }
 }
 
 #[test]

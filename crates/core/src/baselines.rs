@@ -97,9 +97,10 @@ pub fn random_best_of<M: CoverModel>(
 
 /// All node ids sorted by `(weight desc, id asc)` — the TopK-W ranking.
 pub fn rank_by_weight(g: &PreferenceGraph) -> Vec<ItemId> {
+    let csr = g.csr();
     let mut ids: Vec<ItemId> = g.node_ids().collect();
     ids.sort_by(|&x, &y| {
-        crate::float::cmp_gain(g.node_weight(y), g.node_weight(x)).then(x.cmp(&y))
+        crate::float::cmp_gain(csr.node_weight(y), csr.node_weight(x)).then(x.cmp(&y))
     });
     ids
 }

@@ -22,17 +22,18 @@ pub fn cover_value<M: CoverModel>(g: &PreferenceGraph, selected: &[bool]) -> f64
         g.node_count(),
         "selection mask has wrong length"
     );
+    let csr = g.csr();
     let mut c = 0.0;
     for v in g.node_ids() {
         if selected[v.index()] {
-            c += g.node_weight(v);
+            c += csr.node_weight(v);
         } else {
             let matched = M::combine(
-                g.out_edges(v)
+                csr.out_edges(v)
                     .filter(|&(u, _)| u != v && selected[u.index()])
                     .map(|(_, w)| w),
             );
-            c += g.node_weight(v) * matched;
+            c += csr.node_weight(v) * matched;
         }
     }
     c
@@ -116,12 +117,13 @@ impl CoverState {
         if self.in_set[v.index()] {
             return 0.0;
         }
+        let csr = g.csr();
         // Line 1: v itself becomes fully covered.
-        let mut gain = g.node_weight(v) - self.i[v.index()];
+        let mut gain = csr.node_weight(v) - self.i[v.index()];
         // Lines 2-3: every non-retained in-neighbor u gains coverage.
-        for (u, w) in g.in_edges(v) {
+        for (u, w) in csr.in_edges(v) {
             if u != v && !self.in_set[u.index()] {
-                gain += M::marginal(w, g.node_weight(u), self.i[u.index()]);
+                gain += M::marginal(w, csr.node_weight(u), self.i[u.index()]);
             }
         }
         gain
@@ -137,17 +139,18 @@ impl CoverState {
         }
         self.in_set[v.index()] = true;
         self.order.push(v);
+        let csr = g.csr();
 
         // Lines 2-3: v covers itself completely.
-        let own = g.node_weight(v) - self.i[v.index()];
+        let own = csr.node_weight(v) - self.i[v.index()];
         self.cover += own;
-        self.i[v.index()] = g.node_weight(v);
+        self.i[v.index()] = csr.node_weight(v);
         let mut gain = own;
 
         // Lines 4-6: update non-retained in-neighbors.
-        for (u, w) in g.in_edges(v) {
+        for (u, w) in csr.in_edges(v) {
             if u != v && !self.in_set[u.index()] {
-                let delta = M::marginal(w, g.node_weight(u), self.i[u.index()]);
+                let delta = M::marginal(w, csr.node_weight(u), self.i[u.index()]);
                 self.cover += delta;
                 self.i[u.index()] += delta;
                 gain += delta;

@@ -118,18 +118,19 @@ impl GainCache {
     fn mark_stale_after_select(&mut self, g: &PreferenceGraph, state: &CoverState, chosen: ItemId) {
         // I[chosen] changes (and its membership flips, which affects every
         // candidate that reads it — exactly out(chosen)).
+        let csr = g.csr();
         self.mark(chosen);
-        for (t, _) in g.out_edges(chosen) {
+        for (t, _) in csr.out_edges(chosen) {
             self.mark(t);
         }
         // I[u] changes for every non-retained in-neighbor u of chosen, so u
         // itself and every candidate reading I[u] — out(u) — go stale.
-        for (u, _) in g.in_edges(chosen) {
+        for (u, _) in csr.in_edges(chosen) {
             if u == chosen || state.contains(u) {
                 continue;
             }
             self.mark(u);
-            for (t, _) in g.out_edges(u) {
+            for (t, _) in csr.out_edges(u) {
                 self.mark(t);
             }
         }
@@ -465,10 +466,11 @@ pub fn resolve_warm<M: CoverModel>(
             cache.mark(v);
         }
     }
+    let csr = g.csr();
     for v in g.node_ids() {
-        if warm.node_weights[v.index()].to_bits() != g.node_weight(v).to_bits() {
+        if warm.node_weights[v.index()].to_bits() != csr.node_weight(v).to_bits() {
             cache.mark(v);
-            for (t, _) in g.out_edges(v) {
+            for (t, _) in csr.out_edges(v) {
                 cache.mark(t);
             }
         }

@@ -218,13 +218,14 @@ pub fn solve_low_memory_normalized(
     let mut order: Vec<ItemId> = Vec::with_capacity(k);
     let mut gain_evaluations = 0u64;
 
+    let csr = g.csr();
     let own_uncovered = |in_set: &[bool], v: ItemId| -> f64 {
-        let covered: f64 = g
+        let covered: f64 = csr
             .out_edges(v)
             .filter(|&(u, _)| u != v && in_set[u.index()])
             .map(|(_, w)| w)
             .sum();
-        g.node_weight(v) * (1.0 - covered)
+        csr.node_weight(v) * (1.0 - covered)
     };
 
     for _ in 0..k {
@@ -235,9 +236,9 @@ pub fn solve_low_memory_normalized(
             }
             // Algorithm 2 with I[v] recomputed on the fly.
             let mut gain = own_uncovered(&in_set, v);
-            for (u, w) in g.in_edges(v) {
+            for (u, w) in csr.in_edges(v) {
                 if u != v && !in_set[u.index()] {
-                    gain += g.node_weight(u) * w;
+                    gain += csr.node_weight(u) * w;
                 }
             }
             gain_evaluations += 1;

@@ -144,6 +144,7 @@ pub fn solve_with<M: CoverModel>(
             ranges
                 .par_iter()
                 .map(|&(lo, hi)| {
+                    let csr = g.csr();
                     let mut best: Option<(f64, ItemId)> = None;
                     let mut ops = 0u64;
                     let mut evals = 0u64;
@@ -154,7 +155,7 @@ pub fn solve_with<M: CoverModel>(
                         }
                         let gain = state.gain::<M>(g, v);
                         evals += 1;
-                        ops += 1 + g.in_degree(v) as u64;
+                        ops += 1 + csr.in_edges(v).len() as u64;
                         if crate::float::improves_argmax(gain, v, best) {
                             best = Some((gain, v));
                         }

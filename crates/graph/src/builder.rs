@@ -3,7 +3,7 @@
 // lint: allow-file(no-index) — ItemId values are dense indices assigned by GraphBuilder and every
 // per-node/per-edge array is sized to node_count/edge_count, so accesses are in
 // bounds by construction.
-use crate::graph::OwnedCsr;
+use crate::graph::CsrParts;
 use crate::{Edge, GraphError, ItemId, PreferenceGraph, WEIGHT_EPSILON};
 
 /// What to do when the same directed edge `(source, target)` is added more
@@ -241,10 +241,11 @@ impl GraphBuilder {
             None
         };
 
-        Ok(PreferenceGraph::new_owned(
-            OwnedCsr::from_out_csr(self.node_weights, out_offsets, out_targets, out_weights),
-            labels,
-        ))
+        // Self-loops were allowed or rejected at `add_edge`, so the sort's
+        // report of the first one is not needed here.
+        let (csr, _self_loop) =
+            CsrParts::from_out_csr(self.node_weights, out_offsets, out_targets, out_weights);
+        Ok(PreferenceGraph::new_owned(csr, labels))
     }
 
     /// Like [`build`](Self::build) but additionally enforces the Normalized
@@ -474,7 +475,7 @@ mod tests {
     }
 
     #[test]
-    fn csr_in_rows_sorted_by_source() {
+    fn in_rows_sorted_by_source() {
         // Insert edges in scrambled order; in-row of the shared target must
         // come out sorted by source id.
         let mut b = GraphBuilder::new().normalize_node_weights(true);

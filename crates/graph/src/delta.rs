@@ -21,7 +21,7 @@ use std::sync::Arc;
 use serde::{Deserialize, Serialize};
 
 use crate::builder::settle_node_weights;
-use crate::graph::OwnedCsr;
+use crate::graph::CsrParts;
 use crate::{GraphError, ItemId, PreferenceGraph};
 
 /// One atomic change.
@@ -340,9 +340,9 @@ pub fn apply(g: &PreferenceGraph, delta: &GraphDelta) -> Result<PreferenceGraph,
     dirty.sort_unstable();
     dirty.dedup();
 
-    let base_offsets = g.csr_out_offsets();
-    let base_targets = g.csr_out_targets();
-    let base_weights = g.csr_out_weights();
+    let base = g.csr();
+    let (base_offsets, base_targets, base_weights) =
+        (base.out_offsets, base.out_targets, base.out_weights);
     let mut out_offsets: Vec<u32> = Vec::with_capacity(n + 1);
     out_offsets.push(0);
     let mut out_targets: Vec<ItemId> = Vec::with_capacity(base_targets.len() + edits.len());
@@ -392,22 +392,19 @@ pub fn apply(g: &PreferenceGraph, delta: &GraphDelta) -> Result<PreferenceGraph,
         out_offsets.push(out_targets.len() as u32);
         v = next + 1;
     }
-    // A self-loop can only come from `g` (upserting one was rejected
-    // above). The result refuses it as the builder would, naming the
-    // smallest surviving one.
-    for (v, row) in out_offsets.windows(2).enumerate() {
-        let source = ItemId::from_index(v);
-        if out_targets[row[0] as usize..row[1] as usize]
-            .binary_search(&source)
-            .is_ok()
-        {
-            return Err(GraphError::SelfLoopDisallowed { node: source });
-        }
+    // The counting sort into the in-CSR visits every edge in source
+    // order. A self-loop can only come from `g` (upserting one was
+    // rejected above); the result refuses it as the builder would, naming
+    // the smallest surviving one, before any weight error.
+    let (mut csr, self_loop) =
+        CsrParts::from_out_csr(weights, out_offsets, out_targets, out_weights);
+    if let Some(node) = self_loop {
+        return Err(GraphError::SelfLoopDisallowed { node });
     }
     if n == 0 {
         return Err(GraphError::EmptyGraph);
     }
-    if out_targets.len() > u32::MAX as usize {
+    if csr.out_targets.len() > u32::MAX as usize {
         return Err(GraphError::CapacityExceeded {
             what: "edge count exceeds u32::MAX",
         });
@@ -418,7 +415,7 @@ pub fn apply(g: &PreferenceGraph, delta: &GraphDelta) -> Result<PreferenceGraph,
     // untouched; dividing them by their own sum again would perturb every
     // weight by float noise and silently invalidate all cached gains.
     let rescaled = delta.rescales_node_weights();
-    settle_node_weights(&mut weights, rescaled, !rescaled)?;
+    settle_node_weights(&mut csr.node_weights, rescaled, !rescaled)?;
 
     let labels = if n == base_n {
         g.shared_labels()
@@ -433,10 +430,7 @@ pub fn apply(g: &PreferenceGraph, delta: &GraphDelta) -> Result<PreferenceGraph,
     } else {
         None
     };
-    Ok(PreferenceGraph::new_owned(
-        OwnedCsr::from_out_csr(weights, out_offsets, out_targets, out_weights),
-        labels,
-    ))
+    Ok(PreferenceGraph::new_owned(csr, labels))
 }
 
 /// One edge change of a batch: an upsert (`Some` weight) or a removal.

@@ -8,107 +8,86 @@ use std::sync::Arc;
 
 use crate::{Edge, GraphError, ItemId};
 
-/// Read-only access to the seven CSR sections of a preference graph that
-/// live outside the graph's own allocations — typically a memory-mapped
-/// on-disk container (`pcover-store`).
+/// An external home for the seven CSR arrays of a preference graph,
+/// outside the graph's own allocations: typically a memory-mapped on-disk
+/// container (`pcover-store`).
 ///
-/// Implementations must return slices whose lengths are mutually consistent
-/// (`out_offsets.len() == in_offsets.len() == node_weights.len() + 1`, edge
-/// arrays all of equal length); [`PreferenceGraph::from_csr_source`]
-/// re-validates the full CSR structure before accepting a source, so a
-/// malformed implementation is rejected rather than causing out-of-bounds
-/// panics later.
+/// [`csr`](Self::csr) runs once per kernel call (each gain evaluation,
+/// each `add_node`, each row walk through [`PreferenceGraph`]), so an
+/// implementation should only assemble slices it checked when it was
+/// built: no re-slicing, re-casting or re-asserting per call. The view's
+/// lengths must be mutually consistent (`out_offsets.len() ==
+/// in_offsets.len() == node_weights.len() + 1`, edge arrays all of equal
+/// length); [`PreferenceGraph::from_csr_source`] re-validates the full CSR
+/// structure once before accepting a source, so a malformed implementation
+/// is rejected rather than causing out-of-bounds panics later.
 pub trait CsrSource: Send + Sync + fmt::Debug {
+    /// The seven CSR arrays as one view.
+    fn csr(&self) -> Csr<'_>;
+}
+
+/// A borrowed view of a graph's seven CSR arrays, whatever their backing:
+/// the one way code reads them. [`PreferenceGraph::csr`] lends it; the row
+/// walks ([`out_edges`](Self::out_edges), [`in_edges`](Self::in_edges))
+/// are defined once here, so a kernel that fetches the view once per call
+/// walks plain slices.
+#[derive(Clone, Copy, Debug)]
+pub struct Csr<'a> {
     /// `W(v)` per node, indexed by `ItemId::index`.
-    fn node_weights(&self) -> &[f64];
+    pub node_weights: &'a [f64],
     /// Out-CSR row offsets, length `n + 1`.
-    fn out_offsets(&self) -> &[u32];
+    pub out_offsets: &'a [u32],
     /// Out-CSR edge targets, length `m`, each row sorted by target id.
-    fn out_targets(&self) -> &[ItemId];
+    pub out_targets: &'a [ItemId],
     /// Out-CSR edge weights, parallel to `out_targets`.
-    fn out_weights(&self) -> &[f64];
+    pub out_weights: &'a [f64],
     /// In-CSR row offsets, length `n + 1`.
-    fn in_offsets(&self) -> &[u32];
+    pub in_offsets: &'a [u32],
     /// In-CSR edge sources, length `m`, each row sorted by source id.
-    fn in_sources(&self) -> &[ItemId];
+    pub in_sources: &'a [ItemId],
     /// In-CSR edge weights, parallel to `in_sources`.
-    fn in_weights(&self) -> &[f64];
+    pub in_weights: &'a [f64],
 }
 
-/// Owned CSR arrays — the storage produced by [`GraphBuilder`], by
-/// [`delta::apply`](crate::delta::apply) and by materializing an external
-/// source.
-#[derive(Clone, Debug)]
-pub(crate) struct OwnedCsr {
-    pub(crate) node_weights: Vec<f64>,
-    pub(crate) out_offsets: Vec<u32>,
-    pub(crate) out_targets: Vec<ItemId>,
-    pub(crate) out_weights: Vec<f64>,
-    pub(crate) in_offsets: Vec<u32>,
-    pub(crate) in_sources: Vec<ItemId>,
-    pub(crate) in_weights: Vec<f64>,
-}
+impl<'a> Csr<'a> {
+    /// The request probability `W(v)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is out of range.
+    #[inline]
+    pub fn node_weight(self, v: ItemId) -> f64 {
+        self.node_weights[v.index()]
+    }
 
-impl OwnedCsr {
-    /// Assembles owned storage from node weights and a finished out-CSR
-    /// (rows in source order, each sorted by target), deriving the in-CSR by
-    /// a counting sort on target. Out-rows are visited in source order, so
-    /// the stable redistribution leaves every in-row sorted by source.
-    pub(crate) fn from_out_csr(
-        node_weights: Vec<f64>,
-        out_offsets: Vec<u32>,
-        out_targets: Vec<ItemId>,
-        out_weights: Vec<f64>,
-    ) -> Self {
-        let n = node_weights.len();
-        let m = out_targets.len();
-        let mut in_offsets = vec![0u32; n + 1];
-        for t in &out_targets {
-            in_offsets[t.index() + 1] += 1;
-        }
-        for i in 0..n {
-            in_offsets[i + 1] += in_offsets[i];
-        }
-        let mut cursor: Vec<u32> = in_offsets[..n].to_vec();
-        let mut in_sources = vec![ItemId::new(0); m];
-        let mut in_weights = vec![0.0f64; m];
-        for (v, row) in out_offsets.windows(2).enumerate() {
-            let source = ItemId::from_index(v);
-            for slot in row[0] as usize..row[1] as usize {
-                let t = out_targets[slot].index();
-                let dst = cursor[t] as usize;
-                in_sources[dst] = source;
-                in_weights[dst] = out_weights[slot];
-                cursor[t] += 1;
-            }
-        }
-        OwnedCsr {
-            node_weights,
-            out_offsets,
-            out_targets,
-            out_weights,
-            in_offsets,
-            in_sources,
-            in_weights,
+    /// The out-edges of `v` as `(target, weight)` pairs, sorted by target.
+    #[inline]
+    pub fn out_edges(self, v: ItemId) -> OutEdgesIter<'a> {
+        let (lo, hi) = (self.out_offsets[v.index()], self.out_offsets[v.index() + 1]);
+        OutEdgesIter {
+            targets: &self.out_targets[lo as usize..hi as usize],
+            weights: &self.out_weights[lo as usize..hi as usize],
+            pos: 0,
         }
     }
 
-    fn copied_from(src: &dyn CsrSource) -> Self {
-        OwnedCsr {
-            node_weights: src.node_weights().to_vec(),
-            out_offsets: src.out_offsets().to_vec(),
-            out_targets: src.out_targets().to_vec(),
-            out_weights: src.out_weights().to_vec(),
-            in_offsets: src.in_offsets().to_vec(),
-            in_sources: src.in_sources().to_vec(),
-            in_weights: src.in_weights().to_vec(),
+    /// The in-edges of `v` as `(source, weight)` pairs, sorted by source:
+    /// the iteration order of Algorithms 2–5.
+    #[inline]
+    pub fn in_edges(self, v: ItemId) -> InEdgesIter<'a> {
+        let (lo, hi) = (self.in_offsets[v.index()], self.in_offsets[v.index() + 1]);
+        InEdgesIter {
+            sources: &self.in_sources[lo as usize..hi as usize],
+            weights: &self.in_weights[lo as usize..hi as usize],
+            pos: 0,
         }
     }
 }
 
-/// Raw CSR parts for [`PreferenceGraph::from_csr_parts`]: an owned graph
-/// assembled outside [`GraphBuilder`](crate::GraphBuilder), e.g. by the
-/// buffered (pread) load path of `pcover-store`.
+/// Owned CSR arrays: the storage of [`GraphBuilder`](crate::GraphBuilder)
+/// output, of [`delta::apply`](crate::delta::apply) results and of graphs
+/// loaded into memory (the buffered pread path of `pcover-store`, through
+/// [`PreferenceGraph::from_csr_parts`]).
 #[derive(Clone, Debug, Default)]
 pub struct CsrParts {
     /// `W(v)` per node.
@@ -125,15 +104,90 @@ pub struct CsrParts {
     pub in_sources: Vec<ItemId>,
     /// In-CSR edge weights, parallel to `in_sources`.
     pub in_weights: Vec<f64>,
-    /// Optional node labels, length `n` when present.
-    pub labels: Option<Vec<String>>,
+}
+
+impl CsrParts {
+    /// Assembles owned storage from node weights and a finished out-CSR
+    /// (rows in source order, each sorted by target), deriving the in-CSR by
+    /// a counting sort on target. Out-rows are visited in source order, so
+    /// the stable redistribution leaves every in-row sorted by source, and
+    /// the first self-loop `(v, v)` the sort meets, returned beside the
+    /// storage, is the one with the smallest `v`.
+    pub(crate) fn from_out_csr(
+        node_weights: Vec<f64>,
+        out_offsets: Vec<u32>,
+        out_targets: Vec<ItemId>,
+        out_weights: Vec<f64>,
+    ) -> (Self, Option<ItemId>) {
+        let n = node_weights.len();
+        let m = out_targets.len();
+        let mut in_offsets = vec![0u32; n + 1];
+        for t in &out_targets {
+            in_offsets[t.index() + 1] += 1;
+        }
+        for i in 0..n {
+            in_offsets[i + 1] += in_offsets[i];
+        }
+        let mut cursor: Vec<u32> = in_offsets[..n].to_vec();
+        let mut in_sources = vec![ItemId::new(0); m];
+        let mut in_weights = vec![0.0f64; m];
+        let mut self_loop = None;
+        for (v, row) in out_offsets.windows(2).enumerate() {
+            let source = ItemId::from_index(v);
+            for slot in row[0] as usize..row[1] as usize {
+                let t = out_targets[slot];
+                self_loop = self_loop.or((t == source).then_some(source));
+                let dst = cursor[t.index()] as usize;
+                in_sources[dst] = source;
+                in_weights[dst] = out_weights[slot];
+                cursor[t.index()] += 1;
+            }
+        }
+        let parts = CsrParts {
+            node_weights,
+            out_offsets,
+            out_targets,
+            out_weights,
+            in_offsets,
+            in_sources,
+            in_weights,
+        };
+        (parts, self_loop)
+    }
+
+    /// Copies a view into owned vectors.
+    pub fn copied_from(csr: Csr<'_>) -> Self {
+        CsrParts {
+            node_weights: csr.node_weights.to_vec(),
+            out_offsets: csr.out_offsets.to_vec(),
+            out_targets: csr.out_targets.to_vec(),
+            out_weights: csr.out_weights.to_vec(),
+            in_offsets: csr.in_offsets.to_vec(),
+            in_sources: csr.in_sources.to_vec(),
+            in_weights: csr.in_weights.to_vec(),
+        }
+    }
+
+    /// The arrays as one view.
+    #[inline]
+    pub fn view(&self) -> Csr<'_> {
+        Csr {
+            node_weights: &self.node_weights,
+            out_offsets: &self.out_offsets,
+            out_targets: &self.out_targets,
+            out_weights: &self.out_weights,
+            in_offsets: &self.in_offsets,
+            in_sources: &self.in_sources,
+            in_weights: &self.in_weights,
+        }
+    }
 }
 
 /// Where a graph's CSR arrays live.
 #[derive(Clone)]
 enum Store {
     /// Heap-allocated vectors owned by the graph.
-    Owned(OwnedCsr),
+    Owned(CsrParts),
     /// Borrowed from an external backing (e.g. a memory-mapped container);
     /// cloning shares the backing via the `Arc`.
     External(Arc<dyn CsrSource>),
@@ -164,9 +218,12 @@ enum Store {
 ///   held in one shared table: clones and delta generations that add no
 ///   node point at the same labels instead of copying them.
 ///
-/// The arrays are either owned vectors or zero-copy views into an external
-/// [`CsrSource`] (a memory-mapped container); every accessor dispatches with
-/// an `#[inline]` match, so solvers are oblivious to the backing.
+/// The arrays are either owned vectors ([`CsrParts`]) or zero-copy views
+/// into an external [`CsrSource`] (a memory-mapped container).
+/// [`csr`](Self::csr) is the one `match` on the backing: it lends all seven
+/// arrays as one [`Csr`] view, and every accessor reads through it. A
+/// kernel that walks many rows fetches the view once per call, so solvers
+/// run on plain slices whatever the backing.
 #[derive(Clone)]
 pub struct PreferenceGraph {
     store: Store,
@@ -177,18 +234,8 @@ pub struct PreferenceGraph {
 /// array lengths, id bounds, strictly ascending rows, and weight domains.
 /// Shared by the two non-builder constructors so an external source gets
 /// exactly the owned-parts guarantees.
-#[allow(clippy::too_many_arguments)]
-fn validate_csr(
-    node_weights: &[f64],
-    out_offsets: &[u32],
-    out_targets: &[ItemId],
-    out_weights: &[f64],
-    in_offsets: &[u32],
-    in_sources: &[ItemId],
-    in_weights: &[f64],
-    labels: Option<&[String]>,
-) -> Result<(), GraphError> {
-    let n = node_weights.len();
+fn validate_csr(csr: Csr<'_>, labels: Option<&[String]>) -> Result<(), GraphError> {
+    let n = csr.node_weights.len();
     let fail = |message: String| GraphError::Parse {
         line: None,
         message,
@@ -198,7 +245,7 @@ fn validate_csr(
             what: "node count exceeds u32 index space",
         });
     }
-    if out_targets.len() > u32::MAX as usize {
+    if csr.out_targets.len() > u32::MAX as usize {
         return Err(GraphError::CapacityExceeded {
             what: "edge count exceeds u32 index space",
         });
@@ -208,7 +255,7 @@ fn validate_csr(
             return Err(fail(format!("csr: {} labels for {n} nodes", labels.len())));
         }
     }
-    for (i, &w) in node_weights.iter().enumerate() {
+    for (i, &w) in csr.node_weights.iter().enumerate() {
         if !w.is_finite() || !(0.0..=1.0).contains(&w) {
             return Err(GraphError::InvalidNodeWeight {
                 node: ItemId::from_index(i),
@@ -217,8 +264,8 @@ fn validate_csr(
         }
     }
     for (direction, offsets, ids, weights) in [
-        ("out", out_offsets, out_targets, out_weights),
-        ("in", in_offsets, in_sources, in_weights),
+        ("out", csr.out_offsets, csr.out_targets, csr.out_weights),
+        ("in", csr.in_offsets, csr.in_sources, csr.in_weights),
     ] {
         let m = ids.len();
         if offsets.len() != n + 1 {
@@ -273,14 +320,14 @@ fn validate_csr(
             }
         }
     }
-    if out_targets.len() != in_sources.len() {
+    if csr.out_targets.len() != csr.in_sources.len() {
         return Err(fail(format!(
             "csr: out edge count {} != in edge count {}",
-            out_targets.len(),
-            in_sources.len()
+            csr.out_targets.len(),
+            csr.in_sources.len()
         )));
     }
-    for (slot, &w) in out_weights.iter().chain(in_weights.iter()).enumerate() {
+    for (slot, &w) in csr.out_weights.iter().chain(csr.in_weights).enumerate() {
         if !(w.is_finite() && w > 0.0 && w <= 1.0) {
             return Err(fail(format!(
                 "csr: edge weight {w} at slot {slot} outside (0, 1]"
@@ -292,16 +339,17 @@ fn validate_csr(
 
 impl PreferenceGraph {
     /// Assembles a graph from owned, builder-validated CSR arrays.
-    pub(crate) fn new_owned(csr: OwnedCsr, labels: Option<Arc<[String]>>) -> Self {
+    pub(crate) fn new_owned(csr: CsrParts, labels: Option<Arc<[String]>>) -> Self {
         PreferenceGraph {
             store: Store::Owned(csr),
             labels,
         }
     }
 
-    /// Assembles a graph from raw owned CSR parts, re-validating the full
-    /// CSR structure (offset shape, row sortedness, id bounds, weight
-    /// domains). This is the buffered load path of on-disk containers.
+    /// Assembles a graph from raw owned CSR parts and optional labels
+    /// (length `n`), re-validating the full CSR structure (offset shape,
+    /// row sortedness, id bounds, weight domains). This is the buffered
+    /// load path of on-disk containers.
     ///
     /// Unlike [`GraphBuilder`](crate::GraphBuilder), no node-weight sum
     /// check is applied: a container faithfully round-trips graphs built
@@ -313,28 +361,14 @@ impl PreferenceGraph {
     /// [`GraphError::InvalidNodeWeight`] / [`GraphError::InvalidEdgeWeight`]
     /// domains via their `Parse` rendering, [`GraphError::CapacityExceeded`]
     /// past `u32` index space.
-    pub fn from_csr_parts(parts: CsrParts) -> Result<Self, GraphError> {
-        validate_csr(
-            &parts.node_weights,
-            &parts.out_offsets,
-            &parts.out_targets,
-            &parts.out_weights,
-            &parts.in_offsets,
-            &parts.in_sources,
-            &parts.in_weights,
-            parts.labels.as_deref(),
-        )?;
+    pub fn from_csr_parts(
+        parts: CsrParts,
+        labels: Option<Vec<String>>,
+    ) -> Result<Self, GraphError> {
+        validate_csr(parts.view(), labels.as_deref())?;
         Ok(PreferenceGraph {
-            store: Store::Owned(OwnedCsr {
-                node_weights: parts.node_weights,
-                out_offsets: parts.out_offsets,
-                out_targets: parts.out_targets,
-                out_weights: parts.out_weights,
-                in_offsets: parts.in_offsets,
-                in_sources: parts.in_sources,
-                in_weights: parts.in_weights,
-            }),
-            labels: parts.labels.map(Arc::from),
+            store: Store::Owned(parts),
+            labels: labels.map(Arc::from),
         })
     }
 
@@ -349,16 +383,7 @@ impl PreferenceGraph {
         source: Arc<dyn CsrSource>,
         labels: Option<Vec<String>>,
     ) -> Result<Self, GraphError> {
-        validate_csr(
-            source.node_weights(),
-            source.out_offsets(),
-            source.out_targets(),
-            source.out_weights(),
-            source.in_offsets(),
-            source.in_sources(),
-            source.in_weights(),
-            labels.as_deref(),
-        )?;
+        validate_csr(source.csr(), labels.as_deref())?;
         Ok(PreferenceGraph {
             store: Store::External(source),
             labels: labels.map(Arc::from),
@@ -373,9 +398,9 @@ impl PreferenceGraph {
 
     /// Materializes owned storage (no-op when already owned) and returns it
     /// mutably. Used by transforms that patch arrays in place.
-    pub(crate) fn owned_mut(&mut self) -> &mut OwnedCsr {
+    pub(crate) fn owned_mut(&mut self) -> &mut CsrParts {
         if let Store::External(src) = &self.store {
-            self.store = Store::Owned(OwnedCsr::copied_from(src.as_ref()));
+            self.store = Store::Owned(CsrParts::copied_from(src.csr()));
         }
         match &mut self.store {
             Store::Owned(csr) => csr,
@@ -383,67 +408,20 @@ impl PreferenceGraph {
         }
     }
 
+    /// The seven CSR arrays as one view. This is the one `match` on the
+    /// backing; a kernel that walks many rows fetches it once per call.
+    #[inline]
+    pub fn csr(&self) -> Csr<'_> {
+        match &self.store {
+            Store::Owned(parts) => parts.view(),
+            Store::External(source) => source.csr(),
+        }
+    }
+
     /// All node weights as a slice indexed by `ItemId::index`.
     #[inline]
     pub fn node_weights(&self) -> &[f64] {
-        match &self.store {
-            Store::Owned(csr) => &csr.node_weights,
-            Store::External(src) => src.node_weights(),
-        }
-    }
-
-    /// Out-CSR row offsets, length `n + 1`.
-    #[inline]
-    pub fn csr_out_offsets(&self) -> &[u32] {
-        match &self.store {
-            Store::Owned(csr) => &csr.out_offsets,
-            Store::External(src) => src.out_offsets(),
-        }
-    }
-
-    /// Out-CSR edge targets (all rows concatenated, each sorted).
-    #[inline]
-    pub fn csr_out_targets(&self) -> &[ItemId] {
-        match &self.store {
-            Store::Owned(csr) => &csr.out_targets,
-            Store::External(src) => src.out_targets(),
-        }
-    }
-
-    /// Out-CSR edge weights, parallel to [`csr_out_targets`](Self::csr_out_targets).
-    #[inline]
-    pub fn csr_out_weights(&self) -> &[f64] {
-        match &self.store {
-            Store::Owned(csr) => &csr.out_weights,
-            Store::External(src) => src.out_weights(),
-        }
-    }
-
-    /// In-CSR row offsets, length `n + 1`.
-    #[inline]
-    pub fn csr_in_offsets(&self) -> &[u32] {
-        match &self.store {
-            Store::Owned(csr) => &csr.in_offsets,
-            Store::External(src) => src.in_offsets(),
-        }
-    }
-
-    /// In-CSR edge sources (all rows concatenated, each sorted).
-    #[inline]
-    pub fn csr_in_sources(&self) -> &[ItemId] {
-        match &self.store {
-            Store::Owned(csr) => &csr.in_sources,
-            Store::External(src) => src.in_sources(),
-        }
-    }
-
-    /// In-CSR edge weights, parallel to [`csr_in_sources`](Self::csr_in_sources).
-    #[inline]
-    pub fn csr_in_weights(&self) -> &[f64] {
-        match &self.store {
-            Store::Owned(csr) => &csr.in_weights,
-            Store::External(src) => src.in_weights(),
-        }
+        self.csr().node_weights
     }
 
     /// Node labels, length `n`, if labels were provided at build time.
@@ -466,7 +444,7 @@ impl PreferenceGraph {
     /// Number of directed edges.
     #[inline]
     pub fn edge_count(&self) -> usize {
-        self.csr_out_targets().len()
+        self.csr().out_targets.len()
     }
 
     /// Returns true if the graph has no nodes.
@@ -488,7 +466,7 @@ impl PreferenceGraph {
     /// Panics if `v` is out of range.
     #[inline]
     pub fn node_weight(&self, v: ItemId) -> f64 {
-        self.node_weights()[v.index()]
+        self.csr().node_weight(v)
     }
 
     /// Sum of all node weights (1.0 for a well-formed preference graph, up
@@ -510,17 +488,13 @@ impl PreferenceGraph {
     /// Out-degree of `v` (number of alternatives consumers consider for it).
     #[inline]
     pub fn out_degree(&self, v: ItemId) -> usize {
-        let offsets = self.csr_out_offsets();
-        let i = v.index();
-        (offsets[i + 1] - offsets[i]) as usize
+        self.out_edges(v).len()
     }
 
     /// In-degree of `v` (number of items for which `v` is an alternative).
     #[inline]
     pub fn in_degree(&self, v: ItemId) -> usize {
-        let offsets = self.csr_in_offsets();
-        let i = v.index();
-        (offsets[i + 1] - offsets[i]) as usize
+        self.in_edges(v).len()
     }
 
     /// Maximum in-degree `D` over all nodes — the degree bound in the
@@ -544,44 +518,25 @@ impl PreferenceGraph {
     /// sorted by target id.
     #[inline]
     pub fn out_edges(&self, v: ItemId) -> OutEdgesIter<'_> {
-        let offsets = self.csr_out_offsets();
-        let i = v.index();
-        let lo = offsets[i] as usize;
-        let hi = offsets[i + 1] as usize;
-        OutEdgesIter {
-            targets: &self.csr_out_targets()[lo..hi],
-            weights: &self.csr_out_weights()[lo..hi],
-            pos: 0,
-        }
+        self.csr().out_edges(v)
     }
 
     /// Iterates over the in-edges of `v` as `(source, weight)` pairs, sorted
     /// by source id. This is the iteration order of Algorithms 2–5.
     #[inline]
     pub fn in_edges(&self, v: ItemId) -> InEdgesIter<'_> {
-        let offsets = self.csr_in_offsets();
-        let i = v.index();
-        let lo = offsets[i] as usize;
-        let hi = offsets[i + 1] as usize;
-        InEdgesIter {
-            sources: &self.csr_in_sources()[lo..hi],
-            weights: &self.csr_in_weights()[lo..hi],
-            pos: 0,
-        }
+        self.csr().in_edges(v)
     }
 
     /// The weight of edge `v → u`, or `None` if no such edge exists.
     ///
     /// `O(log out_degree(v))` via binary search on the sorted out-row.
     pub fn edge_weight(&self, v: ItemId, u: ItemId) -> Option<f64> {
-        let offsets = self.csr_out_offsets();
-        let i = v.index();
-        let lo = offsets[i] as usize;
-        let hi = offsets[i + 1] as usize;
-        let row = &self.csr_out_targets()[lo..hi];
-        row.binary_search(&u)
+        let row = self.out_edges(v);
+        row.targets
+            .binary_search(&u)
             .ok()
-            .map(|pos| self.csr_out_weights()[lo + pos])
+            .map(|pos| row.weights[pos])
     }
 
     /// Whether edge `v → u` exists.
@@ -595,17 +550,14 @@ impl PreferenceGraph {
     /// In the Normalized variant this is at most 1 (each consumer considers
     /// at most one alternative).
     pub fn out_weight_sum(&self, v: ItemId) -> f64 {
-        let offsets = self.csr_out_offsets();
-        let i = v.index();
-        let lo = offsets[i] as usize;
-        let hi = offsets[i + 1] as usize;
-        crate::float::sum_stable(self.csr_out_weights()[lo..hi].iter().copied())
+        crate::float::sum_stable(self.out_edges(v).weights.iter().copied())
     }
 
     /// Iterates all edges of the graph in `(source, target)` order.
     pub fn edges(&self) -> impl Iterator<Item = Edge> + '_ {
+        let csr = self.csr();
         self.node_ids()
-            .flat_map(move |v| self.out_edges(v).map(move |(u, w)| Edge::new(v, u, w)))
+            .flat_map(move |v| csr.out_edges(v).map(move |(u, w)| Edge::new(v, u, w)))
     }
 
     /// Resolves a label back to its id via linear scan.
@@ -626,13 +578,14 @@ impl PreferenceGraph {
     /// experiments.
     pub fn memory_bytes(&self) -> usize {
         use std::mem::size_of_val;
-        size_of_val(self.node_weights())
-            + size_of_val(self.csr_out_offsets())
-            + size_of_val(self.csr_in_offsets())
-            + size_of_val(self.csr_out_targets())
-            + size_of_val(self.csr_in_sources())
-            + size_of_val(self.csr_out_weights())
-            + size_of_val(self.csr_in_weights())
+        let c = self.csr();
+        size_of_val(c.node_weights)
+            + size_of_val(c.out_offsets)
+            + size_of_val(c.in_offsets)
+            + size_of_val(c.out_targets)
+            + size_of_val(c.in_sources)
+            + size_of_val(c.out_weights)
+            + size_of_val(c.in_weights)
     }
 }
 
@@ -646,13 +599,14 @@ fn f64_bits_eq(a: &[f64], b: &[f64]) -> bool {
 
 impl PartialEq for PreferenceGraph {
     fn eq(&self, other: &Self) -> bool {
-        f64_bits_eq(self.node_weights(), other.node_weights())
-            && self.csr_out_offsets() == other.csr_out_offsets()
-            && self.csr_out_targets() == other.csr_out_targets()
-            && f64_bits_eq(self.csr_out_weights(), other.csr_out_weights())
-            && self.csr_in_offsets() == other.csr_in_offsets()
-            && self.csr_in_sources() == other.csr_in_sources()
-            && f64_bits_eq(self.csr_in_weights(), other.csr_in_weights())
+        let (a, b) = (self.csr(), other.csr());
+        f64_bits_eq(a.node_weights, b.node_weights)
+            && a.out_offsets == b.out_offsets
+            && a.out_targets == b.out_targets
+            && f64_bits_eq(a.out_weights, b.out_weights)
+            && a.in_offsets == b.in_offsets
+            && a.in_sources == b.in_sources
+            && f64_bits_eq(a.in_weights, b.in_weights)
             && self.labels == other.labels
     }
 }
@@ -758,17 +712,7 @@ mod tests {
     }
 
     fn diamond_parts() -> CsrParts {
-        let g = diamond();
-        CsrParts {
-            node_weights: g.node_weights().to_vec(),
-            out_offsets: g.csr_out_offsets().to_vec(),
-            out_targets: g.csr_out_targets().to_vec(),
-            out_weights: g.csr_out_weights().to_vec(),
-            in_offsets: g.csr_in_offsets().to_vec(),
-            in_sources: g.csr_in_sources().to_vec(),
-            in_weights: g.csr_in_weights().to_vec(),
-            labels: None,
-        }
+        CsrParts::copied_from(diamond().csr())
     }
 
     #[test]
@@ -860,7 +804,7 @@ mod tests {
     #[test]
     fn from_csr_parts_round_trips_builder_output() {
         let g = diamond();
-        let back = PreferenceGraph::from_csr_parts(diamond_parts()).unwrap();
+        let back = PreferenceGraph::from_csr_parts(diamond_parts(), None).unwrap();
         assert_eq!(back, g);
         assert!(!back.is_externally_backed());
     }
@@ -870,70 +814,51 @@ mod tests {
         // Offsets not ending at the edge count.
         let mut p = diamond_parts();
         p.out_offsets[4] = 2;
-        assert!(PreferenceGraph::from_csr_parts(p).is_err());
+        assert!(PreferenceGraph::from_csr_parts(p, None).is_err());
 
         // Decreasing offsets.
         let mut p = diamond_parts();
         p.out_offsets[1] = 3;
         p.out_offsets[2] = 2;
-        assert!(PreferenceGraph::from_csr_parts(p).is_err());
+        assert!(PreferenceGraph::from_csr_parts(p, None).is_err());
 
         // Out-of-range target id.
         let mut p = diamond_parts();
         p.out_targets[0] = ItemId::new(99);
-        assert!(PreferenceGraph::from_csr_parts(p).is_err());
+        assert!(PreferenceGraph::from_csr_parts(p, None).is_err());
 
         // Unsorted row (duplicate target).
         let mut p = diamond_parts();
         p.out_targets[1] = p.out_targets[0];
-        assert!(PreferenceGraph::from_csr_parts(p).is_err());
+        assert!(PreferenceGraph::from_csr_parts(p, None).is_err());
 
         // Edge weight out of domain.
         let mut p = diamond_parts();
         p.out_weights[0] = 0.0;
-        assert!(PreferenceGraph::from_csr_parts(p).is_err());
+        assert!(PreferenceGraph::from_csr_parts(p, None).is_err());
 
         // Node weight out of domain.
         let mut p = diamond_parts();
         p.node_weights[0] = f64::NAN;
-        assert!(PreferenceGraph::from_csr_parts(p).is_err());
+        assert!(PreferenceGraph::from_csr_parts(p, None).is_err());
 
         // Label count mismatch.
-        let mut p = diamond_parts();
-        p.labels = Some(vec!["only-one".into()]);
-        assert!(PreferenceGraph::from_csr_parts(p).is_err());
+        let labels = Some(vec!["only-one".into()]);
+        assert!(PreferenceGraph::from_csr_parts(diamond_parts(), labels).is_err());
 
         // Out/in edge count mismatch.
         let mut p = diamond_parts();
         p.in_sources.pop();
         p.in_weights.pop();
-        assert!(PreferenceGraph::from_csr_parts(p).is_err());
+        assert!(PreferenceGraph::from_csr_parts(p, None).is_err());
     }
 
     #[derive(Debug)]
     struct VecSource(CsrParts);
 
     impl CsrSource for VecSource {
-        fn node_weights(&self) -> &[f64] {
-            &self.0.node_weights
-        }
-        fn out_offsets(&self) -> &[u32] {
-            &self.0.out_offsets
-        }
-        fn out_targets(&self) -> &[ItemId] {
-            &self.0.out_targets
-        }
-        fn out_weights(&self) -> &[f64] {
-            &self.0.out_weights
-        }
-        fn in_offsets(&self) -> &[u32] {
-            &self.0.in_offsets
-        }
-        fn in_sources(&self) -> &[ItemId] {
-            &self.0.in_sources
-        }
-        fn in_weights(&self) -> &[f64] {
-            &self.0.in_weights
+        fn csr(&self) -> Csr<'_> {
+            self.0.view()
         }
     }
 

@@ -66,7 +66,7 @@ pub mod transform;
 pub use builder::{DuplicateEdgePolicy, GraphBuilder};
 pub use edge::Edge;
 pub use error::GraphError;
-pub use graph::{CsrParts, CsrSource, InEdgesIter, OutEdgesIter, PreferenceGraph};
+pub use graph::{Csr, CsrParts, CsrSource, InEdgesIter, OutEdgesIter, PreferenceGraph};
 pub use id::ItemId;
 pub use stats::{DegreeHistogram, GraphStats};
 pub use validate::{validate, ValidationIssue, ValidationOptions, ValidationReport};

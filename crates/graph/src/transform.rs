@@ -36,18 +36,17 @@ pub fn normalize_node_weights(g: &PreferenceGraph) -> Result<PreferenceGraph, Gr
 /// "out of S" in the dominating-set instance corresponds to coverage "into
 /// S" in the preference graph.
 pub fn reverse(g: &PreferenceGraph) -> PreferenceGraph {
-    PreferenceGraph::new_owned(
-        crate::graph::OwnedCsr {
-            node_weights: g.node_weights().to_vec(),
-            out_offsets: g.csr_in_offsets().to_vec(),
-            out_targets: g.csr_in_sources().to_vec(),
-            out_weights: g.csr_in_weights().to_vec(),
-            in_offsets: g.csr_out_offsets().to_vec(),
-            in_sources: g.csr_out_targets().to_vec(),
-            in_weights: g.csr_out_weights().to_vec(),
-        },
-        g.shared_labels(),
-    )
+    let c = g.csr();
+    let reversed = crate::Csr {
+        out_offsets: c.in_offsets,
+        out_targets: c.in_sources,
+        out_weights: c.in_weights,
+        in_offsets: c.out_offsets,
+        in_sources: c.out_targets,
+        in_weights: c.out_weights,
+        ..c
+    };
+    PreferenceGraph::new_owned(crate::CsrParts::copied_from(reversed), g.shared_labels())
 }
 
 /// The result of [`induced_subgraph`]: the subgraph plus the id mapping.

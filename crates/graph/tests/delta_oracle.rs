@@ -13,7 +13,8 @@ use proptest::prelude::*;
 
 use pcover_graph::delta::{apply, Change, GraphDelta};
 use pcover_graph::{
-    CsrParts, CsrSource, DuplicateEdgePolicy, GraphBuilder, GraphError, ItemId, PreferenceGraph,
+    Csr, CsrParts, CsrSource, DuplicateEdgePolicy, GraphBuilder, GraphError, ItemId,
+    PreferenceGraph,
 };
 
 /// `apply` as a full rebuild: every edge goes through a `HashMap` and the
@@ -129,46 +130,15 @@ fn rebuild_reference(
 struct PartsSource(CsrParts);
 
 impl CsrSource for PartsSource {
-    fn node_weights(&self) -> &[f64] {
-        &self.0.node_weights
-    }
-    fn out_offsets(&self) -> &[u32] {
-        &self.0.out_offsets
-    }
-    fn out_targets(&self) -> &[ItemId] {
-        &self.0.out_targets
-    }
-    fn out_weights(&self) -> &[f64] {
-        &self.0.out_weights
-    }
-    fn in_offsets(&self) -> &[u32] {
-        &self.0.in_offsets
-    }
-    fn in_sources(&self) -> &[ItemId] {
-        &self.0.in_sources
-    }
-    fn in_weights(&self) -> &[f64] {
-        &self.0.in_weights
-    }
-}
-
-fn parts_of(g: &PreferenceGraph) -> CsrParts {
-    CsrParts {
-        node_weights: g.node_weights().to_vec(),
-        out_offsets: g.csr_out_offsets().to_vec(),
-        out_targets: g.csr_out_targets().to_vec(),
-        out_weights: g.csr_out_weights().to_vec(),
-        in_offsets: g.csr_in_offsets().to_vec(),
-        in_sources: g.csr_in_sources().to_vec(),
-        in_weights: g.csr_in_weights().to_vec(),
-        labels: g.labels().map(<[String]>::to_vec),
+    fn csr(&self) -> Csr<'_> {
+        self.0.view()
     }
 }
 
 /// The same graph read through an external `CsrSource`.
 fn external(g: &PreferenceGraph) -> PreferenceGraph {
-    let parts = parts_of(g);
-    let labels = parts.labels.clone();
+    let parts = CsrParts::copied_from(g.csr());
+    let labels = g.labels().map(<[String]>::to_vec);
     let ext = PreferenceGraph::from_csr_source(Arc::new(PartsSource(parts)), labels).unwrap();
     assert!(ext.is_externally_backed());
     ext
@@ -298,11 +268,14 @@ fn a_self_loop_in_the_base_fails_every_delta_that_keeps_it() {
 
 #[test]
 fn a_zero_node_base_fails_unless_the_batch_adds_a_node() {
-    let empty = PreferenceGraph::from_csr_parts(CsrParts {
-        out_offsets: vec![0],
-        in_offsets: vec![0],
-        ..CsrParts::default()
-    })
+    let empty = PreferenceGraph::from_csr_parts(
+        CsrParts {
+            out_offsets: vec![0],
+            in_offsets: vec![0],
+            ..CsrParts::default()
+        },
+        None,
+    )
     .unwrap();
     assert!(matches!(
         check(&empty, &GraphDelta::new()),

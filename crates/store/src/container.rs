@@ -4,11 +4,13 @@
 //! layout bounds → per-section checksums → full CSR validation in
 //! `pcover-graph`):
 //!
-//! * **mmap** — zero-copy: the file is mapped read-only and the CSR
-//!   sections are typed views straight into the mapping. Open cost is
-//!   dominated by checksum verification (a sequential read of the file);
-//!   the graph itself borrows the page cache, so repeated opens across
-//!   processes share one physical copy. Little-endian unix only.
+//! * **mmap** — zero-copy: the file is mapped read-only and each CSR
+//!   section is cast once, at load, into a typed view straight into the
+//!   mapping (`mmap::MappedCsr`); the graph's `csr` view then costs no
+//!   check per call. Open cost is dominated by checksum verification (a
+//!   sequential read of the file); the graph itself borrows the page
+//!   cache, so repeated opens across processes share one physical copy.
+//!   Little-endian unix only.
 //! * **pread** — portable fallback: sections are read into owned vectors
 //!   and decoded with explicit little-endian conversion. Works everywhere,
 //!   costs one heap copy of the graph.
@@ -345,92 +347,25 @@ fn pread_load(mut file: File, header: &Header) -> Result<PreferenceGraph, StoreE
         in_offsets,
         in_sources,
         in_weights,
-        labels,
     };
-    Ok(PreferenceGraph::from_csr_parts(parts)?)
+    Ok(PreferenceGraph::from_csr_parts(parts, labels)?)
 }
 
+/// A section's byte range in the file, which `Header::validate_layout`
+/// checked against the file length.
 #[cfg(all(unix, target_endian = "little"))]
-mod mapped {
-    //! Safe composition layer over the audited `mmap` module: holds the
-    //! mapping plus byte ranges and exposes the typed `CsrSource` views.
-
-    use super::*;
-    use pcover_graph::CsrSource;
-    use std::ops::Range;
-
-    /// A zero-copy `CsrSource` over a mapped container.
-    #[derive(Debug)]
-    pub(super) struct MappedCsr {
-        map: mmap::Mapping,
-        node_weights: Range<usize>,
-        out_offsets: Range<usize>,
-        out_targets: Range<usize>,
-        out_weights: Range<usize>,
-        in_offsets: Range<usize>,
-        in_sources: Range<usize>,
-        in_weights: Range<usize>,
-    }
-
-    fn range(entry: &SectionEntry) -> Result<Range<usize>, StoreError> {
-        let start = usize::try_from(entry.offset).map_err(|_| StoreError::TooLarge {
-            what: "section offset exceeds usize",
-        })?;
-        let len = usize::try_from(entry.len).map_err(|_| StoreError::TooLarge {
-            what: "section length exceeds usize",
-        })?;
-        Ok(start..start + len)
-    }
-
-    impl MappedCsr {
-        pub(super) fn new(map: mmap::Mapping, header: &Header) -> Result<Self, StoreError> {
-            Ok(MappedCsr {
-                node_weights: range(required_section(header, SEC_NODE_WEIGHTS)?)?,
-                out_offsets: range(required_section(header, SEC_OUT_OFFSETS)?)?,
-                out_targets: range(required_section(header, SEC_OUT_TARGETS)?)?,
-                out_weights: range(required_section(header, SEC_OUT_WEIGHTS)?)?,
-                in_offsets: range(required_section(header, SEC_IN_OFFSETS)?)?,
-                in_sources: range(required_section(header, SEC_IN_SOURCES)?)?,
-                in_weights: range(required_section(header, SEC_IN_WEIGHTS)?)?,
-                map,
-            })
-        }
-
-        fn bytes(&self, r: &Range<usize>) -> &[u8] {
-            // Ranges were validated against the file (and thus mapping)
-            // length by `Header::validate_layout`.
-            &self.map.bytes()[r.clone()]
-        }
-    }
-
-    impl CsrSource for MappedCsr {
-        fn node_weights(&self) -> &[f64] {
-            mmap::cast_f64(self.bytes(&self.node_weights))
-        }
-        fn out_offsets(&self) -> &[u32] {
-            mmap::cast_u32(self.bytes(&self.out_offsets))
-        }
-        fn out_targets(&self) -> &[ItemId] {
-            mmap::cast_item_ids(self.bytes(&self.out_targets))
-        }
-        fn out_weights(&self) -> &[f64] {
-            mmap::cast_f64(self.bytes(&self.out_weights))
-        }
-        fn in_offsets(&self) -> &[u32] {
-            mmap::cast_u32(self.bytes(&self.in_offsets))
-        }
-        fn in_sources(&self) -> &[ItemId] {
-            mmap::cast_item_ids(self.bytes(&self.in_sources))
-        }
-        fn in_weights(&self) -> &[f64] {
-            mmap::cast_f64(self.bytes(&self.in_weights))
-        }
-    }
+fn byte_range(entry: &SectionEntry) -> Result<std::ops::Range<usize>, StoreError> {
+    let too_large = |_| StoreError::TooLarge {
+        what: "section extent exceeds usize",
+    };
+    let start = usize::try_from(entry.offset).map_err(too_large)?;
+    Ok(start..start + usize::try_from(entry.len).map_err(too_large)?)
 }
 
-/// Zero-copy load: map the file, checksum the mapped section bytes, and
-/// hand the typed views to `PreferenceGraph::from_csr_source` (which
-/// re-validates the full CSR structure before any solver sees it).
+/// Zero-copy load: map the file, checksum the mapped section bytes, cast
+/// each CSR section once into a [`mmap::MappedCsr`], and hand it to
+/// `PreferenceGraph::from_csr_source` (which re-validates the full CSR
+/// structure before any solver sees it).
 #[cfg(all(unix, target_endian = "little"))]
 fn mmap_load(
     mut file: File,
@@ -438,21 +373,11 @@ fn mmap_load(
     file_len: u64,
 ) -> Result<PreferenceGraph, StoreError> {
     let map = mmap::Mapping::map(&file, file_len)?;
-    {
-        let bytes = map.bytes();
-        for s in &header.sections {
-            let start = usize::try_from(s.offset).map_err(|_| StoreError::TooLarge {
-                what: "section offset exceeds usize",
-            })?;
-            let end = start
-                + usize::try_from(s.len).map_err(|_| StoreError::TooLarge {
-                    what: "section length exceeds usize",
-                })?;
-            check_section(s, &bytes[start..end])?;
-        }
+    for s in &header.sections {
+        check_section(s, &map.bytes()[byte_range(s)?])?;
     }
     let labels = load_labels(&mut file, header)?;
-    let source = mapped::MappedCsr::new(map, header)?;
+    let source = mmap::MappedCsr::new(map, |id| byte_range(required_section(header, id)?))?;
     Ok(PreferenceGraph::from_csr_source(Arc::new(source), labels)?)
 }
 

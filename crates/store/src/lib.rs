@@ -13,11 +13,12 @@
 //!
 //! Two load paths, selected by [`OpenMode`] at open time:
 //!
-//! * **mmap** — zero-copy: sections become typed slices straight into a
-//!   read-only file mapping ([`pcover_graph::CsrSource`]). The only
-//!   `unsafe` code in the crate lives in the narrow, audited `mmap` module
-//!   (the workspace otherwise forbids unsafe; the xtask `unsafe-scope`
-//!   rule pins it there).
+//! * **mmap** — zero-copy: each section is cast once, at load, into a
+//!   typed slice straight into a read-only file mapping, and the graph
+//!   reads all seven through one [`pcover_graph::CsrSource::csr`] view
+//!   with no per-call check. The only `unsafe` code in the crate lives in
+//!   the narrow, audited `mmap` module (the workspace otherwise forbids
+//!   unsafe; the xtask `unsafe-scope` rule pins it there).
 //! * **pread** — buffered portable fallback decoding sections into owned
 //!   vectors.
 //!

@@ -28,6 +28,9 @@
 //!    `#[repr(transparent)]` over `u32`. Only little-endian unix targets
 //!    compile this module (`cfg` below) — byte order on disk *is* the
 //!    in-memory representation there.
+//! 4. **Checked once** — `MappedCsr` casts each CSR section once, at
+//!    load, and keeps its offset and length; its `csr` view rebuilds the
+//!    slices unchecked from casts that passed the asserts above.
 //!
 //! The `extern "C"` declarations are hand-written because the build
 //! vendors no `libc` crate; the symbols come from the platform libc that
@@ -41,7 +44,7 @@
 use pcover_graph::ItemId;
 
 #[cfg(all(unix, target_endian = "little"))]
-pub(crate) use enabled::Mapping;
+pub(crate) use enabled::{MappedCsr, Mapping};
 
 /// Whether the zero-copy mmap backend exists in this build.
 pub(crate) const MMAP_SUPPORTED: bool = cfg!(all(unix, target_endian = "little"));
@@ -50,9 +53,18 @@ pub(crate) const MMAP_SUPPORTED: bool = cfg!(all(unix, target_endian = "little")
 mod enabled {
     use std::fs::File;
     use std::io;
+    use std::marker::PhantomData;
+    use std::ops::Range;
     use std::os::fd::AsRawFd;
 
+    use pcover_graph::{Csr, CsrSource, ItemId};
+
+    use super::{cast_f64, cast_item_ids, cast_u32};
     use crate::error::StoreError;
+    use crate::format::{
+        SEC_IN_OFFSETS, SEC_IN_SOURCES, SEC_IN_WEIGHTS, SEC_NODE_WEIGHTS, SEC_OUT_OFFSETS,
+        SEC_OUT_TARGETS, SEC_OUT_WEIGHTS,
+    };
 
     // Hand-declared bindings for the two syscall wrappers this module
     // needs. Constants are the x86_64/aarch64 Linux *and* BSD/macOS values
@@ -142,6 +154,99 @@ mod enabled {
             // no error channel.
             unsafe {
                 munmap(self.ptr as *mut core::ffi::c_void, self.len);
+            }
+        }
+    }
+
+    /// Where a section that was cast to `&[T]` at load sits in the
+    /// mapping: its byte offset and its length in `T`s.
+    #[derive(Clone, Copy, Debug)]
+    struct Section<T>(usize, usize, PhantomData<T>);
+
+    impl<T> Section<T> {
+        /// Casts `bytes[range]` with `cast`: one of the `cast_*`
+        /// functions, which assert its alignment and length and view
+        /// exactly the bytes they are given.
+        fn checked(
+            bytes: &[u8],
+            range: Range<usize>,
+            cast: fn(&[u8]) -> &[T],
+        ) -> Result<Self, StoreError> {
+            let (start, end) = (range.start, range.end as u64);
+            let section = bytes.get(range).ok_or(StoreError::Truncated {
+                what: "a CSR section",
+                needed: end,
+                available: bytes.len() as u64,
+            })?;
+            Ok(Section(start, cast(section).len(), PhantomData))
+        }
+
+        /// The cast slice again, unchecked.
+        ///
+        /// # Safety
+        ///
+        /// `map` must be the mapping this section was cast from.
+        unsafe fn view(self, map: &Mapping) -> &[T] {
+            // SAFETY: `Section::checked` made a `&[T]` of these `self.1`
+            // elements at byte `self.0` of `map`, asserting alignment and
+            // length; the mapping is immutable and outlives the borrow.
+            unsafe { std::slice::from_raw_parts(map.ptr.add(self.0).cast(), self.1) }
+        }
+    }
+
+    /// A zero-copy [`CsrSource`] over a mapped container: each CSR section
+    /// is cast once at load, and `csr` rebuilds the seven slices unchecked.
+    #[derive(Debug)]
+    pub(crate) struct MappedCsr {
+        map: Mapping,
+        node_weights: Section<f64>,
+        out_offsets: Section<u32>,
+        out_targets: Section<ItemId>,
+        out_weights: Section<f64>,
+        in_offsets: Section<u32>,
+        in_sources: Section<ItemId>,
+        in_weights: Section<f64>,
+    }
+
+    impl MappedCsr {
+        /// Casts the seven CSR sections of `map` (panicking as the `cast_*`
+        /// functions do), where `range(id)` is section `id`'s byte range,
+        /// already checked against the file length.
+        pub(crate) fn new(
+            map: Mapping,
+            range: impl Fn(u32) -> Result<Range<usize>, StoreError>,
+        ) -> Result<Self, StoreError> {
+            let bytes = map.bytes();
+            let f64s = |id| range(id).and_then(|r| Section::checked(bytes, r, cast_f64));
+            let u32s = |id| range(id).and_then(|r| Section::checked(bytes, r, cast_u32));
+            let ids = |id| range(id).and_then(|r| Section::checked(bytes, r, cast_item_ids));
+            Ok(MappedCsr {
+                node_weights: f64s(SEC_NODE_WEIGHTS)?,
+                out_offsets: u32s(SEC_OUT_OFFSETS)?,
+                out_targets: ids(SEC_OUT_TARGETS)?,
+                out_weights: f64s(SEC_OUT_WEIGHTS)?,
+                in_offsets: u32s(SEC_IN_OFFSETS)?,
+                in_sources: ids(SEC_IN_SOURCES)?,
+                in_weights: f64s(SEC_IN_WEIGHTS)?,
+                map,
+            })
+        }
+    }
+
+    impl CsrSource for MappedCsr {
+        fn csr(&self) -> Csr<'_> {
+            let map = &self.map;
+            // SAFETY: every section was cast from `self.map` in `new`.
+            unsafe {
+                Csr {
+                    node_weights: self.node_weights.view(map),
+                    out_offsets: self.out_offsets.view(map),
+                    out_targets: self.out_targets.view(map),
+                    out_weights: self.out_weights.view(map),
+                    in_offsets: self.in_offsets.view(map),
+                    in_sources: self.in_sources.view(map),
+                    in_weights: self.in_weights.view(map),
+                }
             }
         }
     }

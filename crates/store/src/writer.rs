@@ -156,24 +156,23 @@ pub fn write_graph(
         None => None,
     };
 
-    let out_offsets = graph.csr_out_offsets();
-    let in_offsets = graph.csr_in_offsets();
+    let csr = graph.csr();
     // ItemId is a transparent u32 newtype; hash/write via raw values.
-    let out_targets: Vec<u32> = graph.csr_out_targets().iter().map(|id| id.raw()).collect();
-    let in_sources: Vec<u32> = graph.csr_in_sources().iter().map(|id| id.raw()).collect();
+    let out_targets: Vec<u32> = csr.out_targets.iter().map(|id| id.raw()).collect();
+    let in_sources: Vec<u32> = csr.in_sources.iter().map(|id| id.raw()).collect();
 
     let mut sections = vec![
         SectionEntry {
             id: SEC_NODE_WEIGHTS,
             offset: 0,
             len: n * 8,
-            checksum: hash_f64s(graph.node_weights()),
+            checksum: hash_f64s(csr.node_weights),
         },
         SectionEntry {
             id: SEC_OUT_OFFSETS,
             offset: 0,
             len: (n + 1) * 4,
-            checksum: hash_u32s(out_offsets),
+            checksum: hash_u32s(csr.out_offsets),
         },
         SectionEntry {
             id: SEC_OUT_TARGETS,
@@ -185,13 +184,13 @@ pub fn write_graph(
             id: SEC_OUT_WEIGHTS,
             offset: 0,
             len: m * 8,
-            checksum: hash_f64s(graph.csr_out_weights()),
+            checksum: hash_f64s(csr.out_weights),
         },
         SectionEntry {
             id: SEC_IN_OFFSETS,
             offset: 0,
             len: (n + 1) * 4,
-            checksum: hash_u32s(in_offsets),
+            checksum: hash_u32s(csr.in_offsets),
         },
         SectionEntry {
             id: SEC_IN_SOURCES,
@@ -203,7 +202,7 @@ pub fn write_graph(
             id: SEC_IN_WEIGHTS,
             offset: 0,
             len: m * 8,
-            checksum: hash_f64s(graph.csr_in_weights()),
+            checksum: hash_f64s(csr.in_weights),
         },
     ];
     if let Some(payload) = &labels_payload {
@@ -239,13 +238,13 @@ pub fn write_graph(
         for s in &header.sections {
             out.pad_to(s.offset)?;
             match s.id {
-                SEC_NODE_WEIGHTS => write_f64s(&mut out, graph.node_weights())?,
-                SEC_OUT_OFFSETS => write_u32s(&mut out, out_offsets)?,
+                SEC_NODE_WEIGHTS => write_f64s(&mut out, csr.node_weights)?,
+                SEC_OUT_OFFSETS => write_u32s(&mut out, csr.out_offsets)?,
                 SEC_OUT_TARGETS => write_u32s(&mut out, &out_targets)?,
-                SEC_OUT_WEIGHTS => write_f64s(&mut out, graph.csr_out_weights())?,
-                SEC_IN_OFFSETS => write_u32s(&mut out, in_offsets)?,
+                SEC_OUT_WEIGHTS => write_f64s(&mut out, csr.out_weights)?,
+                SEC_IN_OFFSETS => write_u32s(&mut out, csr.in_offsets)?,
                 SEC_IN_SOURCES => write_u32s(&mut out, &in_sources)?,
-                SEC_IN_WEIGHTS => write_f64s(&mut out, graph.csr_in_weights())?,
+                SEC_IN_WEIGHTS => write_f64s(&mut out, csr.in_weights)?,
                 SEC_LABELS => {
                     if let Some(payload) = &labels_payload {
                         out.write_all(payload)?;
