@@ -307,4 +307,93 @@ mod tests {
             }
         }
     }
+
+    /// The `pcover` command lines of a document: each line (with its `\`
+    /// continuations joined) is searched for `target/release/pcover `,
+    /// `$P ` (the verify skill's alias for it), `pcover ` opening inline
+    /// code, and `cargo run … -p pcover-cli … -- `. The words after one run
+    /// up to shell punctuation (`&`, `|`, `;`, a redirect, a `#` comment) or
+    /// the end of inline code. Returns each with its 1-based line.
+    fn invocations(text: &str) -> Vec<(usize, Vec<String>)> {
+        let lines: Vec<&str> = text.lines().collect();
+        let mut found = Vec::new();
+        let mut i = 0;
+        while i < lines.len() {
+            let first = i;
+            let mut line = lines[i].to_owned();
+            while line.trim_end().ends_with('\\') && i + 1 < lines.len() {
+                line = format!(
+                    "{} {}",
+                    line.trim_end().trim_end_matches('\\'),
+                    lines[i + 1]
+                );
+                i += 1;
+            }
+            i += 1;
+            let mut starts = Vec::new();
+            if line.contains("cargo run") && line.contains("-p pcover-cli") {
+                starts.extend(line.find(" -- ").map(|at| at + 4));
+            }
+            for (prefix, after) in [
+                ("target/release/pcover ", " \t`("),
+                ("$P ", " \t`("),
+                ("pcover ", "`"),
+            ] {
+                for (at, _) in line.match_indices(prefix) {
+                    let before = line[..at].chars().next_back();
+                    if before.is_none_or(|c| after.contains(c)) {
+                        starts.push(at + prefix.len());
+                    }
+                }
+            }
+            for start in starts {
+                let mut words = Vec::new();
+                for word in line[start..].split_whitespace() {
+                    if ["&", "&&", "|", ";"].contains(&word)
+                        || word.starts_with(['#', '>'])
+                        || word.starts_with("2>")
+                    {
+                        break;
+                    }
+                    if let Some((code, _)) = word.split_once('`') {
+                        words.extend(Some(code.to_owned()).filter(|c| !c.is_empty()));
+                        break;
+                    }
+                    words.push(word.to_owned());
+                }
+                found.push((first + 1, words));
+            }
+        }
+        found
+    }
+
+    /// Every `pcover` command line in CI, README and the verify skill
+    /// names a known subcommand and parses.
+    #[test]
+    fn every_documented_command_line_parses() {
+        let documents = [
+            (
+                ".github/workflows/ci.yml",
+                include_str!("../../../.github/workflows/ci.yml"),
+            ),
+            ("README.md", include_str!("../../../README.md")),
+            (
+                ".claude/skills/verify/SKILL.md",
+                include_str!("../../../.claude/skills/verify/SKILL.md"),
+            ),
+        ];
+        for (file, text) in documents {
+            let found = invocations(text);
+            assert!(
+                found.len() >= 10,
+                "{file}: only {} command lines",
+                found.len()
+            );
+            for (line, words) in found {
+                let at = format!("{file}:{line}: pcover {}", words.join(" "));
+                let args = Args::parse(words).unwrap_or_else(|e| panic!("{at}: {}", e.0));
+                assert!(syntax(&args.command).is_some(), "{at}: unknown subcommand");
+            }
+        }
+    }
 }

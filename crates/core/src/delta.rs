@@ -35,15 +35,16 @@
 //!
 //! The warm repair ([`resolve_warm`]) runs the cold solve's round loop
 //! itself; only the starting cache differs (the previous generation's
-//! round-0 gains, with the delta's frontier marked dirty, instead of an
-//! all-dirty cache).
+//! round-0 gains and tree, with the delta's frontier marked dirty, instead
+//! of an all-dirty cache). After round 0's refresh the cache holds every
+//! gain against the empty set, bitwise, and the tree over them, whichever
+//! way it started: that is the next generation's [`WarmState`], which
+//! [`solve_from`] hands back when asked.
 
 // lint: allow-file(no-index) — per-item arrays (I-values, selection masks, gains) are sized to
 // node_count and indexed by ItemId::index(); bounds-checked [] in the hot greedy
 // loops is deliberate and in bounds by construction.
 use std::time::Instant;
-
-use serde::{Deserialize, Serialize};
 
 use pcover_graph::{ItemId, PreferenceGraph};
 
@@ -85,21 +86,16 @@ impl GainCache {
         }
     }
 
-    /// A clean cache over `gains` (every node live), tree built.
-    fn seeded(gains: Vec<f64>) -> Self {
+    /// A clean cache over round-0 `gains` and their `tree` (every node
+    /// live).
+    fn seeded(gains: Vec<f64>, tree: Vec<ItemId>) -> Self {
         let n = gains.len();
-        let mut tree = vec![EMPTY; 2 * n];
-        for (leaf, v) in tree[n..].iter_mut().zip(0..n) {
-            *leaf = ItemId::from_index(v);
-        }
-        let mut cache = GainCache {
+        GainCache {
             gains,
             tree,
             is_dirty: vec![false; n],
             dirty: Vec::new(),
-        };
-        cache.rebuild();
-        cache
+        }
     }
 
     /// Marks `x` dirty, once.
@@ -212,58 +208,108 @@ impl GainCache {
     }
 }
 
-/// The round loop of the cold solve and the warm repair: `k` rounds of
-/// refresh, root read, stale marking and `AddNode`, starting from `cache`
-/// (all dirty when cold, seeded and marked when repairing). Cancellation is
-/// polled before every round. Also returns how many leading rounds picked
-/// exactly `prior`'s node at their position (`prior` is the previous
-/// generation's order, empty when cold). The report's `elapsed` runs from
-/// `started`, so it includes the caller's seeding. The caller checks
-/// `k <= n`.
-fn run_rounds<M: CoverModel>(
-    g: &PreferenceGraph,
-    k: usize,
-    mut cache: GainCache,
-    prior: &[ItemId],
-    started: Instant,
-    ctx: &mut SolveCtx<'_>,
-) -> Result<(SolveReport, usize), SolveError> {
-    let mut state = CoverState::new(g.node_count());
-    let mut trajectory = Vec::with_capacity(k);
-    let mut gain_evaluations = 0u64;
-    let mut rounds_reused = 0usize;
+/// The running solve of [`run_rounds`]: the cover state, the trajectory
+/// so far, the evaluation count, and how many leading rounds re-selected
+/// the previous generation's pick.
+struct Rounds<'p> {
+    state: CoverState,
+    trajectory: Vec<f64>,
+    gain_evaluations: u64,
+    rounds_reused: usize,
+    prior: &'p [ItemId],
+}
 
-    for iter in 0..k {
+impl Rounds<'_> {
+    /// Round `iter`: refresh, root read, stale marking and `AddNode`.
+    fn round<M: CoverModel>(
+        &mut self,
+        g: &PreferenceGraph,
+        cache: &mut GainCache,
+        iter: usize,
+        ctx: &mut SolveCtx<'_>,
+    ) -> Result<(), SolveError> {
         ctx.check_cancelled()?;
-        let round_evals = cache.refresh::<M>(g, &state);
-        gain_evaluations += round_evals;
+        let round_evals = cache.refresh::<M>(g, &self.state);
+        self.gain_evaluations += round_evals;
         let Some((gain, chosen)) = cache.best() else {
             return Err(SolveError::internal(
                 "greedy round found no candidate despite k <= n",
             ));
         };
         // Reuse is counted while the prior prefix is intact.
-        if rounds_reused == iter && prior.get(iter) == Some(&chosen) {
-            rounds_reused += 1;
+        if self.rounds_reused == iter && self.prior.get(iter) == Some(&chosen) {
+            self.rounds_reused += 1;
         }
-        cache.mark_stale_after_select(g, &state, chosen);
-        state.add_node::<M>(g, chosen);
-        trajectory.push(state.cover());
-        ctx.emit_select(iter, chosen, gain, state.cover());
+        cache.mark_stale_after_select(g, &self.state, chosen);
+        self.state.add_node::<M>(g, chosen);
+        self.trajectory.push(self.state.cover());
+        ctx.emit_select(iter, chosen, gain, self.state.cover());
         ctx.emit_round_stats(RoundStats {
             iter,
             gain_evaluations: round_evals,
         });
+        Ok(())
+    }
+}
+
+/// The round loop of the cold solve and the warm repair: `k` rounds of
+/// refresh, root read, stale marking and `AddNode`, starting from `cache`
+/// (all dirty when cold, seeded and marked when repairing). Cancellation is
+/// polled before every round. Also counts how many leading rounds picked
+/// exactly `prior`'s node at their position (`prior` is the previous
+/// generation's order, empty when cold) and, when `hand_back` is set and
+/// `k > 0`, hands back the cache's gains and tree right after round 0 as
+/// the next generation's state. Round 0 only marks after its refresh, so
+/// the copy is taken once, after it, outside the per-round path. The
+/// report's `elapsed` runs from `started`, so it includes the caller's
+/// seeding. The caller checks `k <= n`.
+fn run_rounds<M: CoverModel>(
+    g: &PreferenceGraph,
+    k: usize,
+    mut cache: GainCache,
+    prior: &[ItemId],
+    hand_back: bool,
+    started: Instant,
+    ctx: &mut SolveCtx<'_>,
+) -> Result<WarmOutcome, SolveError> {
+    let mut rounds = Rounds {
+        state: CoverState::new(g.node_count()),
+        trajectory: Vec::with_capacity(k),
+        gain_evaluations: 0,
+        rounds_reused: 0,
+        prior,
+    };
+    let mut round0 = None;
+    if k > 0 {
+        rounds.round::<M>(g, &mut cache, 0, ctx)?;
+        if hand_back {
+            round0 = Some((cache.gains.clone(), cache.tree.clone()));
+        }
+    }
+    for iter in 1..k {
+        rounds.round::<M>(g, &mut cache, iter, ctx)?;
     }
 
     let report = finish::<M>(
         Algorithm::DeltaGreedy,
-        state,
-        trajectory,
+        rounds.state,
+        rounds.trajectory,
         started,
-        gain_evaluations,
+        rounds.gain_evaluations,
     );
-    Ok((report, rounds_reused))
+    let next = round0.map(|(gains, tree)| WarmState {
+        variant: M::VARIANT,
+        order: report.order.clone(),
+        gains,
+        tree,
+        node_weights: g.node_weights().to_vec(),
+    });
+    Ok(WarmOutcome {
+        report,
+        rounds_reused: rounds.rounds_reused,
+        rounds_repaired: k - rounds.rounds_reused,
+        next,
+    })
 }
 
 /// Runs delta greedy for budget `k`. Bit-identical output to
@@ -299,12 +345,7 @@ pub fn solve_with<M: CoverModel>(
     k: usize,
     ctx: &mut SolveCtx<'_>,
 ) -> Result<SolveReport, SolveError> {
-    let started = Instant::now();
-    let n = g.node_count();
-    if k > n {
-        return Err(SolveError::KTooLarge { k, n });
-    }
-    run_rounds::<M>(g, k, GainCache::new(g), &[], started, ctx).map(|(report, _)| report)
+    solve_from::<M>(g, k, None, false, ctx).map(|out| out.report)
 }
 
 /// Delta greedy as a registry [`Solver`].
@@ -335,40 +376,47 @@ pub fn spec() -> SolverSpec {
         },
         |v, g, k, ctx| DeltaGreedy.dispatch(v, g, k, ctx),
     )
-    .with_warm(|v, g, k, touched, warm, ctx| match v {
-        Variant::Independent => resolve_warm::<Independent>(g, k, touched, warm, ctx),
-        Variant::Normalized => resolve_warm::<Normalized>(g, k, touched, warm, ctx),
+    .with_warm(|v, g, k, from, hand_back, ctx| match v {
+        Variant::Independent => solve_from::<Independent>(g, k, from, hand_back, ctx),
+        Variant::Normalized => solve_from::<Normalized>(g, k, from, hand_back, ctx),
     })
 }
 
-/// The serialized solver state one snapshot generation hands the next: the
-/// retained order it produced, its round-0 gain array, and the node-weight
-/// vector those gains were computed under.
+/// The solver state one snapshot generation hands the next: the retained
+/// order it produced, its round-0 gain array and the tournament tree over
+/// it, and the node-weight vector those gains were computed under.
 ///
 /// Round-0 gains (gains against the empty set, `I ≡ 0`) depend only on the
-/// graph and the [`Variant`] — not on any solve order — so capturing them
-/// needs no instrumentation of the original solve and a single state is
-/// valid for every budget `k`. [`resolve_warm`] repairs this state against
-/// the post-delta graph instead of re-evaluating all `n` candidates.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+/// graph and the [`Variant`] — not on any solve order — so a single state
+/// is valid for every budget `k`. A solve hands its state back through
+/// [`solve_from`] (the serve leader keeps it); [`Self::capture`] computes
+/// the same state from scratch. [`resolve_warm`] repairs it against the
+/// post-delta graph instead of re-evaluating all `n` candidates, seeding
+/// its cache by copying the gains and the tree.
+#[derive(Clone, Debug)]
 pub struct WarmState {
     variant: Variant,
     order: Vec<ItemId>,
     gains: Vec<f64>,
+    /// The winner tree over `gains`, laid out as [`GainCache`]'s.
+    tree: Vec<ItemId>,
     node_weights: Vec<f64>,
 }
 
 impl WarmState {
     /// Captures a warm state from `g`: round-0 gains for every node under
-    /// `M`, the current weight vector, and the previous solution `order`
-    /// (used only to count reused vs repaired rounds — correctness never
-    /// depends on it). Costs `O(n + m)`, off the query path.
+    /// `M` and the tree over them (a cold round 0's refresh), the current
+    /// weight vector, and the previous solution `order` (used only to count
+    /// reused vs repaired rounds — correctness never depends on it). Costs
+    /// `O(n + m)` gain work.
     pub fn capture<M: CoverModel>(g: &PreferenceGraph, order: &[ItemId]) -> Self {
-        let empty = CoverState::new(g.node_count());
+        let mut cache = GainCache::new(g);
+        cache.refresh::<M>(g, &CoverState::new(g.node_count()));
         WarmState {
             variant: M::VARIANT,
             order: order.to_vec(),
-            gains: g.node_ids().map(|v| empty.gain::<M>(g, v)).collect(),
+            gains: cache.gains,
+            tree: cache.tree,
             node_weights: g.node_weights().to_vec(),
         }
     }
@@ -401,6 +449,21 @@ impl WarmState {
     }
 }
 
+/// Bitwise: same variant, order and tree, and the same bits in every gain
+/// and weight.
+impl PartialEq for WarmState {
+    fn eq(&self, other: &Self) -> bool {
+        let bits = |a: &[f64], b: &[f64]| {
+            a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+        };
+        self.variant == other.variant
+            && self.order == other.order
+            && self.tree == other.tree
+            && bits(&self.gains, &other.gains)
+            && bits(&self.node_weights, &other.node_weights)
+    }
+}
+
 /// A warm re-solve result: the (bit-identical-to-cold) report plus how much
 /// of the previous solution survived.
 #[derive(Clone, Debug)]
@@ -413,11 +476,17 @@ pub struct WarmOutcome {
     pub rounds_reused: usize,
     /// Rounds selected fresh: `k - rounds_reused`.
     pub rounds_repaired: usize,
+    /// The state this solve hands the next generation: its round-0 gains
+    /// and tree on the solved graph, that graph's weights and this
+    /// report's order — what [`WarmState::capture`] would compute. Set
+    /// only when [`solve_from`] is asked to hand it back and `k > 0`.
+    pub next: Option<WarmState>,
 }
 
 /// Warm-start re-solve: repairs `warm` (captured on the pre-delta graph)
 /// against the post-delta graph `g`, recomputing gains only for the dirty
-/// frontier.
+/// frontier. [`solve_from`] with `warm` and `touched`, handing nothing
+/// back.
 ///
 /// The dirty set is `touched` (the delta's
 /// [`touched_nodes`](pcover_graph::delta::GraphDelta::touched_nodes)
@@ -432,9 +501,9 @@ pub struct WarmOutcome {
 /// a round is reused while it re-selects the previous pick at its position.
 /// `gain_evaluations` counts only true recomputations: `O(|dirty|)` in
 /// round 0 instead of `O(n)`, identical to cold delta-greedy afterwards.
-/// Seeding (copying the gains, building the tournament tree, the drift
-/// scan) costs `O(n)` without a gain evaluation; each round then costs
-/// `O(|dirty| · log n)`.
+/// Seeding copies the gains and the tree and scans the weights for drift,
+/// `O(n)` without a gain evaluation; round 0's refresh then replays each
+/// dirty leaf's path, and each round costs `O(|dirty| · log n)`.
 ///
 /// # Errors
 ///
@@ -449,18 +518,56 @@ pub fn resolve_warm<M: CoverModel>(
     warm: &WarmState,
     ctx: &mut SolveCtx<'_>,
 ) -> Result<WarmOutcome, SolveError> {
+    solve_from::<M>(g, k, Some((warm, touched)), false, ctx)
+}
+
+/// The one entry of the cold solve and the warm repair: runs delta greedy
+/// on `g` from `from` — a previous generation's state and the touched
+/// frontier of every delta since, repaired as [`resolve_warm`] describes —
+/// or cold when `from` is `None`, and, when `hand_back` is set, returns in
+/// [`WarmOutcome::next`] the state this solve leaves for the next
+/// generation. That state is a copy of the round loop's cache right after
+/// round 0 (`O(n)`, taken once), so only a caller that keeps it should ask.
+/// A cold run reuses no round.
+///
+/// # Errors
+///
+/// As [`resolve_warm`]; a `None` start never fails on the state.
+pub fn solve_from<M: CoverModel>(
+    g: &PreferenceGraph,
+    k: usize,
+    from: Option<(&WarmState, &[ItemId])>,
+    hand_back: bool,
+    ctx: &mut SolveCtx<'_>,
+) -> Result<WarmOutcome, SolveError> {
     let started = Instant::now();
     let n = g.node_count();
     if k > n {
         return Err(SolveError::KTooLarge { k, n });
     }
-    if !warm.accepts(M::VARIANT, g) {
+    let (cache, prior) = match from {
+        None => (GainCache::new(g), &[][..]),
+        Some((warm, touched)) => (seed(g, M::VARIANT, warm, touched)?, warm.order.as_slice()),
+    };
+    run_rounds::<M>(g, k, cache, prior, hand_back, started, ctx)
+}
+
+/// The warm repair's starting cache: `warm`'s gains and tree, with
+/// `touched` and every node whose weight drifted bitwise (plus its
+/// out-row) marked dirty.
+fn seed(
+    g: &PreferenceGraph,
+    variant: Variant,
+    warm: &WarmState,
+    touched: &[ItemId],
+) -> Result<GainCache, SolveError> {
+    if !warm.accepts(variant, g) {
         return Err(SolveError::internal(
             "warm state does not match the requested variant and graph shape",
         ));
     }
-
-    let mut cache = GainCache::seeded(warm.gains.clone());
+    let n = g.node_count();
+    let mut cache = GainCache::seeded(warm.gains.clone(), warm.tree.clone());
     for &v in touched {
         if v.index() < n {
             cache.mark(v);
@@ -475,13 +582,7 @@ pub fn resolve_warm<M: CoverModel>(
             }
         }
     }
-
-    let (report, rounds_reused) = run_rounds::<M>(g, k, cache, &warm.order, started, ctx)?;
-    Ok(WarmOutcome {
-        report,
-        rounds_reused,
-        rounds_repaired: k - rounds_reused,
-    })
+    Ok(cache)
 }
 
 #[cfg(test)]
@@ -703,16 +804,41 @@ mod tests {
     }
 
     #[test]
-    fn warm_state_serde_roundtrip() {
-        let g = random_graph(20, 2);
-        let base = solve::<Independent>(&g, 5).unwrap();
-        let warm = WarmState::capture::<Independent>(&g, &base.order);
-        let json = serde_json::to_string(&warm).unwrap();
-        let back: WarmState = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.variant(), Variant::Independent);
-        assert_eq!(back.order(), warm.order());
-        let out = resolve_warm::<Independent>(&g, 5, &[], &back, &mut warm_ctx()).unwrap();
-        assert!(out.report.bit_identical_to(&base));
+    fn handed_back_state_is_the_capture_of_the_solved_graph() {
+        use pcover_graph::delta::{apply, Change, GraphDelta};
+        let g = random_graph(60, 2);
+        let k = 12;
+        let cold = solve_from::<Independent>(&g, k, None, true, &mut warm_ctx()).unwrap();
+        let state = cold.next.expect("a k > 0 solve hands its state back");
+        assert_eq!(
+            state,
+            WarmState::capture::<Independent>(&g, &cold.report.order)
+        );
+        assert_eq!(cold.rounds_reused, 0);
+
+        let delta = GraphDelta::new().push(Change::RemoveEdge {
+            source: ItemId::new(1),
+            target: g.out_edges(ItemId::new(1)).next().unwrap().0,
+        });
+        let g2 = apply(&g, &delta).unwrap();
+        let touched = delta.touched_nodes(&g);
+        let warm =
+            solve_from::<Independent>(&g2, k, Some((&state, &touched)), true, &mut warm_ctx())
+                .unwrap();
+        assert!(warm
+            .report
+            .bit_identical_to(&solve::<Independent>(&g2, k).unwrap()));
+        let next = warm.next.expect("the repair hands its state back");
+        assert_eq!(
+            next,
+            WarmState::capture::<Independent>(&g2, &warm.report.order)
+        );
+
+        // Nothing is handed back unless asked, nor by a zero-budget solve.
+        let plain = resolve_warm::<Independent>(&g2, k, &touched, &state, &mut warm_ctx());
+        assert!(plain.unwrap().next.is_none());
+        let empty = solve_from::<Independent>(&g2, 0, None, true, &mut warm_ctx()).unwrap();
+        assert!(empty.next.is_none());
     }
 
     #[test]

@@ -393,16 +393,18 @@ impl Default for SolverCaps {
 pub type SolverRun =
     fn(Variant, &PreferenceGraph, usize, &mut SolveCtx<'_>) -> Result<SolveReport, SolveError>;
 
-/// The type-erased warm-start entry point: repairs a previous generation's
-/// [`WarmState`] against the post-delta graph given the delta's touched
-/// frontier. Only solvers whose warm repair is provably bit-identical to
-/// their cold solve register one.
+/// The type-erased warm-start entry point: solves from a previous
+/// generation's [`WarmState`] and the touched frontier of every delta
+/// since, repairing it against the post-delta graph (`None` solves cold),
+/// and, when the `bool` is set, hands back the state the solve leaves for
+/// the next generation in [`WarmOutcome::next`]. Only solvers whose warm
+/// repair is provably bit-identical to their cold solve register one.
 pub type WarmRun = fn(
     Variant,
     &PreferenceGraph,
     usize,
-    &[ItemId],
-    &WarmState,
+    Option<(&WarmState, &[ItemId])>,
+    bool,
     &mut SolveCtx<'_>,
 ) -> Result<WarmOutcome, SolveError>;
 
@@ -485,7 +487,7 @@ impl SolverSpec {
 
     /// Runs the solver's warm-start repair with the same gating as
     /// [`Self::solve`]: variant support first, then one up-front
-    /// cancellation poll.
+    /// cancellation poll. Nothing is handed back.
     ///
     /// # Errors
     ///
@@ -502,6 +504,40 @@ impl SolverSpec {
         warm: &WarmState,
         ctx: &mut SolveCtx<'_>,
     ) -> Result<WarmOutcome, SolveError> {
+        self.run_warm(variant, g, k, Some((warm, touched)), false, ctx)
+    }
+
+    /// Solves through the warm entry point — repairing `from` (a previous
+    /// generation's state and the touched frontier since) or, when `None`,
+    /// cold — and hands back the state the solve leaves for the next
+    /// generation in [`WarmOutcome::next`]. Same gating as
+    /// [`Self::solve_warm`]. Taking that state costs a copy of the solver's
+    /// `O(n)` round-0 cache, so only a caller that keeps it should use this
+    /// over [`Self::solve`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::solve_warm`].
+    pub fn solve_handing_back(
+        &self,
+        variant: Variant,
+        g: &PreferenceGraph,
+        k: usize,
+        from: Option<(&WarmState, &[ItemId])>,
+        ctx: &mut SolveCtx<'_>,
+    ) -> Result<WarmOutcome, SolveError> {
+        self.run_warm(variant, g, k, from, true, ctx)
+    }
+
+    fn run_warm(
+        &self,
+        variant: Variant,
+        g: &PreferenceGraph,
+        k: usize,
+        from: Option<(&WarmState, &[ItemId])>,
+        hand_back: bool,
+        ctx: &mut SolveCtx<'_>,
+    ) -> Result<WarmOutcome, SolveError> {
         let Some(run) = self.warm else {
             return Err(SolveError::internal(format!(
                 "solver '{}' has no warm-start entry point",
@@ -515,7 +551,7 @@ impl SolverSpec {
             });
         }
         ctx.check_cancelled()?;
-        run(variant, g, k, touched, warm, ctx)
+        run(variant, g, k, from, hand_back, ctx)
     }
 }
 

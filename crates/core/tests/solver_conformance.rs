@@ -374,6 +374,178 @@ fn every_warm_solver_stops_when_cancelled_and_repairs_afterwards() {
     }
 }
 
+/// One generation of [`every_warm_solver_hands_back_the_captured_state`]'s
+/// chain: the delta from the previous graph and the budget solved on it.
+fn chain_steps(g: &PreferenceGraph) -> Vec<(&'static str, GraphDelta, usize)> {
+    let edge = |v: usize| {
+        g.node_ids()
+            .skip(v)
+            .find_map(|s| g.out_edges(s).next().map(|(t, _)| (s, t)))
+            .expect("the graph has an edge")
+    };
+    let (s1, t1) = edge(0);
+    let (s2, t2) = edge(s1.index() + 1);
+    let (s3, t3) = edge(s2.index() + 1);
+    let n = g.node_count();
+    vec![
+        (
+            "upsert",
+            GraphDelta::new().push(Change::UpsertEdge {
+                source: s1,
+                target: t1,
+                weight: 0.125,
+            }),
+            n / 4,
+        ),
+        (
+            "remove",
+            GraphDelta::new().push(Change::RemoveEdge {
+                source: s2,
+                target: t2,
+            }),
+            n,
+        ),
+        (
+            "delist",
+            GraphDelta::new().push(Change::Delist { node: t3 }),
+            n / 4,
+        ),
+        ("empty", GraphDelta::new(), n / 3),
+        (
+            "k = 0",
+            GraphDelta::new().push(Change::RemoveEdge {
+                source: s3,
+                target: t3,
+            }),
+            0,
+        ),
+        (
+            "after k = 0",
+            GraphDelta::new().push(Change::UpsertEdge {
+                source: s1,
+                target: t1,
+                weight: 0.25,
+            }),
+            n / 4,
+        ),
+        (
+            "add node",
+            GraphDelta::new()
+                .push(Change::AddNode {
+                    weight: 30.0,
+                    label: None,
+                })
+                .push(Change::UpsertEdge {
+                    source: ItemId::from_index(n),
+                    target: s2,
+                    weight: 0.5,
+                }),
+            n / 4,
+        ),
+        (
+            "after add node",
+            GraphDelta::new().push(Change::RemoveEdge {
+                source: s1,
+                target: t1,
+            }),
+            n / 4,
+        ),
+    ]
+}
+
+/// The state a solve hands back is the state a capture computes: along a
+/// chain of generations, each solve starts from the state the previous
+/// one handed back (with the touched frontier of every delta since), as
+/// the serve memo runs it. At every generation the report equals the cold
+/// solve bit for bit, the gain evaluations equal a repair from
+/// `capture_variant` of the state's graph, and the handed-back state equals
+/// `capture_variant` of the solved graph: gain bits, tree and weights. A
+/// k = 0 solve hands back nothing, so the next solve repairs the older
+/// state; after an `AddNode` the state is declined and the solve is cold.
+#[test]
+fn every_warm_solver_hands_back_the_captured_state() {
+    let registry = Registry::builtin();
+    for seed in SEEDS {
+        for spec in registry.specs().iter().filter(|s| s.supports_warm_start()) {
+            for variant in [Variant::Independent, Variant::Normalized] {
+                if !spec.caps.variants.supports(variant) {
+                    continue;
+                }
+                let ctx = || SolveCtx::new(SolverConfig::default());
+                let mut g = random_graph(24, seed);
+                let steps = chain_steps(&g);
+                // The last handed-back state, the graph it was solved on,
+                // and the touched frontier of every delta since.
+                let mut held: Option<(WarmState, PreferenceGraph, Vec<ItemId>)> = None;
+                for (step, (name, delta, k)) in [("cold", GraphDelta::new(), 6)]
+                    .into_iter()
+                    .chain(steps)
+                    .enumerate()
+                {
+                    let label =
+                        format!("{}/{variant:?} seed {seed} step {step} ({name})", spec.name);
+                    if step > 0 {
+                        let next = apply(&g, &delta).expect("the chain's deltas apply");
+                        if let Some((_, _, touched)) = held.as_mut() {
+                            touched.extend(delta.touched_nodes(&g));
+                            touched.sort_unstable();
+                            touched.dedup();
+                        }
+                        g = next;
+                    }
+                    let from = held
+                        .as_ref()
+                        .filter(|(state, ..)| state.accepts(variant, &g))
+                        .map(|(state, _, touched)| (state, touched.as_slice()));
+                    let out = spec
+                        .solve_handing_back(variant, &g, k, from, &mut ctx())
+                        .unwrap_or_else(|e| panic!("{label}: {e}"));
+                    let cold = spec
+                        .solve(variant, &g, k, &mut ctx())
+                        .unwrap_or_else(|e| panic!("{label}: cold solve failed: {e}"));
+                    assert!(
+                        out.report.bit_identical_to(&cold),
+                        "{label}: report differs from the cold solve"
+                    );
+                    let reference = match from {
+                        Some((_, touched)) => {
+                            let (state, before, _) = held.as_ref().expect("from a held state");
+                            let captured =
+                                WarmState::capture_variant(variant, before, state.order());
+                            spec.solve_warm(variant, &g, k, touched, &captured, &mut ctx())
+                                .unwrap_or_else(|e| panic!("{label}: repair failed: {e}"))
+                                .report
+                        }
+                        None => cold,
+                    };
+                    assert_eq!(
+                        out.report.gain_evaluations, reference.gain_evaluations,
+                        "{label}: gain evaluations"
+                    );
+                    if name == "add node" {
+                        assert!(from.is_none(), "{label}: the state must be declined");
+                    }
+                    if k == 0 {
+                        assert!(
+                            out.next.is_none(),
+                            "{label}: a k = 0 solve hands back nothing"
+                        );
+                        continue;
+                    }
+                    let state = out
+                        .next
+                        .unwrap_or_else(|| panic!("{label}: no state handed back"));
+                    assert!(
+                        state == WarmState::capture_variant(variant, &g, &out.report.order),
+                        "{label}: the handed-back state differs from the capture"
+                    );
+                    held = Some((state, g.clone(), Vec::new()));
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn algorithm_enum_and_registry_are_one_to_one() {
     let registry = Registry::builtin();

@@ -241,11 +241,11 @@ impl GraphBuilder {
             None
         };
 
-        // Self-loops were allowed or rejected at `add_edge`, so the sort's
-        // report of the first one is not needed here.
-        let (csr, _self_loop) =
+        // Self-loops were allowed or rejected at `add_edge`; the graph keeps
+        // whether the sort met one.
+        let (csr, self_loop) =
             CsrParts::from_out_csr(self.node_weights, out_offsets, out_targets, out_weights);
-        Ok(PreferenceGraph::new_owned(csr, labels))
+        Ok(PreferenceGraph::new_owned(csr, labels, !self_loop))
     }
 
     /// Like [`build`](Self::build) but additionally enforces the Normalized

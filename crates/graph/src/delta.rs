@@ -6,9 +6,9 @@
 //! re-estimated edges — without rebuilding from raw data. A [`GraphDelta`]
 //! is an ordered batch of such changes; [`apply`] produces a new validated
 //! graph. The CSR representation is immutable by design, so application
-//! writes new arrays, but it patches rather than rebuilds them: rows the
-//! batch cannot reach are copied whole and only the rows it edits or
-//! delists into are merged, an `O(n + m)` copy plus an
+//! writes new arrays, but it patches rather than rebuilds them, in both
+//! directions: rows the batch cannot reach are copied whole and only the
+//! rows it edits or delists into are merged, an `O(n + m)` copy plus an
 //! `O(|delta| log |delta|)` sort of the edits.
 //! A batch that adds no node shares the label table of its base graph, so
 //! successive generations carry one copy of the labels between them.
@@ -216,12 +216,12 @@ impl GraphDelta {
 /// on.
 ///
 /// The batch is validated in order (the first failing change wins), then
-/// the new out-CSR is patched rather than rebuilt. The edge edits are
-/// sorted by `(source, target)`, keeping the last edit per pair. Rows no
-/// change can reach are copied from `g` in runs. An edited row, a delisted
-/// node's row, or a row with an edge into a delisted node is merged with
-/// its edits and filtered. The in-CSR is then derived from the result by a
-/// counting sort. That is an `O(n + m)` copy plus an
+/// both CSR directions are patched rather than rebuilt, by one row patch.
+/// The edge edits are sorted by `(source, target)`, keeping the last edit
+/// per pair, and a transposed copy by `(target, source)`. Rows no change
+/// can reach are copied from `g` in runs. An edited row, a delisted node's
+/// row, or a row holding an edge to or from a delisted node is merged with
+/// its edits and filtered. That is an `O(n + m)` copy plus an
 /// `O(|delta| log |delta|)` sort, with no hashing. A batch that adds no
 /// node shares `g`'s label table. The result is owned even when `g` reads
 /// from an external (memory-mapped) backing.
@@ -291,8 +291,8 @@ pub fn apply(g: &PreferenceGraph, delta: &GraphDelta) -> Result<PreferenceGraph,
                     return Err(GraphError::SelfLoopDisallowed { node: *source });
                 }
                 edits.push(EdgeEdit {
-                    source: *source,
-                    target: *target,
+                    row: *source,
+                    col: *target,
                     weight: Some(*weight),
                 });
             }
@@ -300,8 +300,8 @@ pub fn apply(g: &PreferenceGraph, delta: &GraphDelta) -> Result<PreferenceGraph,
                 check_node(*source, weights.len())?;
                 check_node(*target, weights.len())?;
                 edits.push(EdgeEdit {
-                    source: *source,
-                    target: *target,
+                    row: *source,
+                    col: *target,
                     weight: None,
                 });
             }
@@ -315,10 +315,13 @@ pub fn apply(g: &PreferenceGraph, delta: &GraphDelta) -> Result<PreferenceGraph,
 
     let n = weights.len();
     // Newest edit first, so that after the stable sort the dedup keeps the
-    // last edit the batch made to each pair.
+    // last edit the batch made to each pair. Out-CSR edits are keyed by
+    // (source, target), their transposes by (target, source).
     edits.reverse();
-    edits.sort_by_key(|e| (e.source, e.target));
-    edits.dedup_by_key(|e| (e.source, e.target));
+    edits.sort_by_key(|e| (e.row, e.col));
+    edits.dedup_by_key(|e| (e.row, e.col));
+    let mut transposed: Vec<EdgeEdit> = edits.iter().map(EdgeEdit::transposed).collect();
+    transposed.sort_unstable_by_key(|e| (e.row, e.col));
     // A delisted node keeps no incident edge, whatever the batch did to it
     // before or after the delist.
     let mut delisted = vec![false; n];
@@ -327,79 +330,54 @@ pub fn apply(g: &PreferenceGraph, delta: &GraphDelta) -> Result<PreferenceGraph,
     }
     let live = |v: ItemId| !delisted[v.index()];
 
-    // The rows that can differ from `g`'s: edited rows, delisted rows and,
-    // for each delisted node, the rows holding an edge into it. Every other
-    // row is copied from `g` unchanged (rows past `g`'s nodes are empty).
-    let mut dirty: Vec<usize> = edits.iter().map(|e| e.source.index()).collect();
-    for &v in &delists {
-        dirty.push(v.index());
-        if v.index() < base_n {
-            dirty.extend(g.in_edges(v).map(|(u, _)| u.index()));
-        }
-    }
-    dirty.sort_unstable();
-    dirty.dedup();
-
+    // The rows that can differ from `g`'s besides the edited ones: delisted
+    // rows and, for each delisted node, the rows holding an edge into it
+    // (out-CSR) or out of it (in-CSR).
     let base = g.csr();
-    let (base_offsets, base_targets, base_weights) =
-        (base.out_offsets, base.out_targets, base.out_weights);
-    let mut out_offsets: Vec<u32> = Vec::with_capacity(n + 1);
-    out_offsets.push(0);
-    let mut out_targets: Vec<ItemId> = Vec::with_capacity(base_targets.len() + edits.len());
-    let mut out_weights: Vec<f64> = Vec::with_capacity(base_targets.len() + edits.len());
-    let mut pending = edits.as_slice();
-    let mut v = 0;
-    // Offsets are `u32`; they wrap only past u32::MAX edges, which is
-    // rejected below.
-    for next in dirty.into_iter().chain([n]) {
-        // Rows v..next are clean: those of `g` are copied in one run with
-        // their offsets shifted, and rows past `g`'s nodes are empty.
-        let end = next.min(base_n);
-        if v < end {
-            let (lo, hi) = (base_offsets[v] as usize, base_offsets[end] as usize);
-            let at = out_targets.len();
-            out_targets.extend_from_slice(&base_targets[lo..hi]);
-            out_weights.extend_from_slice(&base_weights[lo..hi]);
-            out_offsets.extend(
-                base_offsets[v + 1..=end]
-                    .iter()
-                    .map(|&o| (o as usize - lo + at) as u32),
-            );
+    let (mut out_dirty, mut in_dirty) = (Vec::new(), Vec::new());
+    for &v in &delists {
+        out_dirty.push(v.index());
+        in_dirty.push(v.index());
+        if v.index() < base_n {
+            out_dirty.extend(base.in_edges(v).map(|(u, _)| u.index()));
+            in_dirty.extend(base.out_edges(v).map(|(t, _)| t.index()));
         }
-        out_offsets.resize(next + 1, out_targets.len() as u32);
-        if next == n {
-            break;
-        }
-        // Row `next` is dirty: merged with its edits, or empty when its
-        // node is delisted.
-        let source = ItemId::from_index(next);
-        let (row_edits, rest) = pending.split_at(pending.partition_point(|e| e.source == source));
-        pending = rest;
-        if live(source) {
-            let (lo, hi) = match base_offsets.get(next..next + 2) {
-                Some(&[lo, hi]) => (lo as usize, hi as usize),
-                _ => (0, 0),
-            };
-            merge_row(
-                &base_targets[lo..hi],
-                &base_weights[lo..hi],
-                row_edits,
-                live,
-                &mut out_targets,
-                &mut out_weights,
-            );
-        }
-        out_offsets.push(out_targets.len() as u32);
-        v = next + 1;
     }
-    // The counting sort into the in-CSR visits every edge in source
-    // order. A self-loop can only come from `g` (upserting one was
-    // rejected above); the result refuses it as the builder would, naming
-    // the smallest surviving one, before any weight error.
-    let (mut csr, self_loop) =
-        CsrParts::from_out_csr(weights, out_offsets, out_targets, out_weights);
-    if let Some(node) = self_loop {
-        return Err(GraphError::SelfLoopDisallowed { node });
+    let (out_offsets, out_targets, out_weights) = patch_rows(
+        n,
+        (base.out_offsets, base.out_targets, base.out_weights),
+        out_dirty,
+        &edits,
+        live,
+    );
+    let (in_offsets, in_sources, in_weights) = patch_rows(
+        n,
+        (base.in_offsets, base.in_sources, base.in_weights),
+        in_dirty,
+        &transposed,
+        live,
+    );
+    let mut csr = CsrParts {
+        node_weights: weights,
+        out_offsets,
+        out_targets,
+        out_weights,
+        in_offsets,
+        in_sources,
+        in_weights,
+    };
+    // A self-loop can only come from `g` (upserting one was rejected
+    // above), so a base known to be loop-free is not scanned. The result
+    // refuses a loop as the builder would, naming the smallest surviving
+    // one, before any weight error.
+    if !g.is_loop_free() {
+        let view = csr.view();
+        let looped = (0..n)
+            .map(ItemId::from_index)
+            .find(|&v| view.out_edges(v).any(|(t, _)| t == v));
+        if let Some(node) = looped {
+            return Err(GraphError::SelfLoopDisallowed { node });
+        }
     }
     if n == 0 {
         return Err(GraphError::EmptyGraph);
@@ -430,50 +408,134 @@ pub fn apply(g: &PreferenceGraph, delta: &GraphDelta) -> Result<PreferenceGraph,
     } else {
         None
     };
-    Ok(PreferenceGraph::new_owned(csr, labels))
+    // The result is loop-free: a surviving loop failed above.
+    Ok(PreferenceGraph::new_owned(csr, labels, true))
 }
 
-/// One edge change of a batch: an upsert (`Some` weight) or a removal.
+/// One edge change of a batch in one CSR direction: in row `row`, an upsert
+/// (`Some` weight) or a removal of the entry for `col`. Out-CSR edits have
+/// the source as `row`; their transposes have the target.
 #[derive(Clone, Copy, Debug)]
 struct EdgeEdit {
-    source: ItemId,
-    target: ItemId,
+    row: ItemId,
+    col: ItemId,
     weight: Option<f64>,
 }
 
-/// Appends the merge of one out-row (sorted by target) with its edits
-/// (sorted by target, one per target) to `targets`/`weights`: an upsert
-/// replaces or inserts its edge, a removal drops it, and targets that are
-/// not `live` are dropped.
+impl EdgeEdit {
+    /// The same change seen from the other CSR direction.
+    fn transposed(&self) -> Self {
+        EdgeEdit {
+            row: self.col,
+            col: self.row,
+            weight: self.weight,
+        }
+    }
+}
+
+/// One CSR direction of [`apply`]'s result over `n` nodes, from `base`'s
+/// `(offsets, ids, weights)` in that direction. Rows in `dirty` or holding
+/// an edit are merged with their `edits` (sorted by `(row, col)`, one per
+/// pair), keeping only `live` entries, and a dirty row of a node that is
+/// not live comes out empty. Every other row is copied from `base` in runs
+/// with its offsets shifted, and rows past `base`'s nodes are empty.
+/// Offsets are `u32`; they wrap only past `u32::MAX` entries, which
+/// [`apply`] rejects.
+fn patch_rows(
+    n: usize,
+    base: (&[u32], &[ItemId], &[f64]),
+    mut dirty: Vec<usize>,
+    edits: &[EdgeEdit],
+    live: impl Fn(ItemId) -> bool + Copy,
+) -> (Vec<u32>, Vec<ItemId>, Vec<f64>) {
+    let (base_offsets, base_ids, base_weights) = base;
+    let base_n = base_offsets.len() - 1;
+    dirty.extend(edits.iter().map(|e| e.row.index()));
+    dirty.sort_unstable();
+    dirty.dedup();
+
+    let mut offsets: Vec<u32> = Vec::with_capacity(n + 1);
+    offsets.push(0);
+    let mut ids: Vec<ItemId> = Vec::with_capacity(base_ids.len() + edits.len());
+    let mut weights: Vec<f64> = Vec::with_capacity(base_ids.len() + edits.len());
+    let mut pending = edits;
+    let mut v = 0;
+    for next in dirty.into_iter().chain([n]) {
+        // Rows v..next are clean: those of `base` are copied in one run
+        // with their offsets shifted, and rows past its nodes are empty.
+        let end = next.min(base_n);
+        if v < end {
+            let (lo, hi) = (base_offsets[v] as usize, base_offsets[end] as usize);
+            let at = ids.len();
+            ids.extend_from_slice(&base_ids[lo..hi]);
+            weights.extend_from_slice(&base_weights[lo..hi]);
+            offsets.extend(
+                base_offsets[v + 1..=end]
+                    .iter()
+                    .map(|&o| (o as usize - lo + at) as u32),
+            );
+        }
+        offsets.resize(next + 1, ids.len() as u32);
+        if next == n {
+            break;
+        }
+        // Row `next` is dirty: merged with its edits, or empty when its
+        // node is not live.
+        let row = ItemId::from_index(next);
+        let (row_edits, rest) = pending.split_at(pending.partition_point(|e| e.row == row));
+        pending = rest;
+        if live(row) {
+            let (lo, hi) = match base_offsets.get(next..next + 2) {
+                Some(&[lo, hi]) => (lo as usize, hi as usize),
+                _ => (0, 0),
+            };
+            merge_row(
+                &base_ids[lo..hi],
+                &base_weights[lo..hi],
+                row_edits,
+                live,
+                &mut ids,
+                &mut weights,
+            );
+        }
+        offsets.push(ids.len() as u32);
+        v = next + 1;
+    }
+    (offsets, ids, weights)
+}
+
+/// Appends the merge of one row (sorted by id) with its edits (sorted by
+/// `col`, one per `col`) to `ids`/`weights`: an upsert replaces or inserts
+/// its entry, a removal drops it, and ids that are not `live` are dropped.
 fn merge_row(
-    row_targets: &[ItemId],
+    row_ids: &[ItemId],
     row_weights: &[f64],
     edits: &[EdgeEdit],
     live: impl Fn(ItemId) -> bool,
-    targets: &mut Vec<ItemId>,
+    ids: &mut Vec<ItemId>,
     weights: &mut Vec<f64>,
 ) {
     let (mut i, mut j) = (0, 0);
     loop {
-        let (target, weight) = match (row_targets.get(i), edits.get(j)) {
-            (Some(&t), e) if e.is_none_or(|e| t < e.target) => {
+        let (id, weight) = match (row_ids.get(i), edits.get(j)) {
+            (Some(&t), e) if e.is_none_or(|e| t < e.col) => {
                 let w = row_weights[i];
                 i += 1;
                 (t, Some(w))
             }
             (t, Some(e)) => {
-                if t == Some(&e.target) {
+                if t == Some(&e.col) {
                     i += 1;
                 }
                 j += 1;
-                (e.target, e.weight)
+                (e.col, e.weight)
             }
             // Both sides are exhausted.
             _ => break,
         };
         if let Some(w) = weight {
-            if live(target) {
-                targets.push(target);
+            if live(id) {
+                ids.push(id);
                 weights.push(w);
             }
         }

@@ -110,15 +110,14 @@ impl CsrParts {
     /// Assembles owned storage from node weights and a finished out-CSR
     /// (rows in source order, each sorted by target), deriving the in-CSR by
     /// a counting sort on target. Out-rows are visited in source order, so
-    /// the stable redistribution leaves every in-row sorted by source, and
-    /// the first self-loop `(v, v)` the sort meets, returned beside the
-    /// storage, is the one with the smallest `v`.
+    /// the stable redistribution leaves every in-row sorted by source.
+    /// Also returns whether the sort met a self-loop `(v, v)`.
     pub(crate) fn from_out_csr(
         node_weights: Vec<f64>,
         out_offsets: Vec<u32>,
         out_targets: Vec<ItemId>,
         out_weights: Vec<f64>,
-    ) -> (Self, Option<ItemId>) {
+    ) -> (Self, bool) {
         let n = node_weights.len();
         let m = out_targets.len();
         let mut in_offsets = vec![0u32; n + 1];
@@ -131,12 +130,12 @@ impl CsrParts {
         let mut cursor: Vec<u32> = in_offsets[..n].to_vec();
         let mut in_sources = vec![ItemId::new(0); m];
         let mut in_weights = vec![0.0f64; m];
-        let mut self_loop = None;
+        let mut self_loop = false;
         for (v, row) in out_offsets.windows(2).enumerate() {
             let source = ItemId::from_index(v);
             for slot in row[0] as usize..row[1] as usize {
                 let t = out_targets[slot];
-                self_loop = self_loop.or((t == source).then_some(source));
+                self_loop |= t == source;
                 let dst = cursor[t.index()] as usize;
                 in_sources[dst] = source;
                 in_weights[dst] = out_weights[slot];
@@ -228,6 +227,14 @@ enum Store {
 pub struct PreferenceGraph {
     store: Store,
     labels: Option<Arc<[String]>>,
+    /// Known to hold no edge `(v, v)`: the builder's in-CSR sort met none,
+    /// or the graph is a [`delta::apply`](crate::delta::apply) result
+    /// (which fails on a surviving loop), or a reversal of such a graph.
+    /// A graph assembled from CSR arrays is not known loop-free: checking
+    /// every row for one would slow the validation that every load runs.
+    /// `apply` scans its result for a loop only when the base is not known
+    /// loop-free, so once per loaded graph.
+    loop_free: bool,
 }
 
 /// Validates pre-assembled CSR arrays: offset shape and monotonicity, edge
@@ -338,11 +345,13 @@ fn validate_csr(csr: Csr<'_>, labels: Option<&[String]>) -> Result<(), GraphErro
 }
 
 impl PreferenceGraph {
-    /// Assembles a graph from owned, builder-validated CSR arrays.
-    pub(crate) fn new_owned(csr: CsrParts, labels: Option<Arc<[String]>>) -> Self {
+    /// Assembles a graph from owned, builder-validated CSR arrays, known
+    /// to hold no self-loop when `loop_free`.
+    pub(crate) fn new_owned(csr: CsrParts, labels: Option<Arc<[String]>>, loop_free: bool) -> Self {
         PreferenceGraph {
             store: Store::Owned(csr),
             labels,
+            loop_free,
         }
     }
 
@@ -369,6 +378,7 @@ impl PreferenceGraph {
         Ok(PreferenceGraph {
             store: Store::Owned(parts),
             labels: labels.map(Arc::from),
+            loop_free: false,
         })
     }
 
@@ -387,6 +397,7 @@ impl PreferenceGraph {
         Ok(PreferenceGraph {
             store: Store::External(source),
             labels: labels.map(Arc::from),
+            loop_free: false,
         })
     }
 
@@ -433,6 +444,11 @@ impl PreferenceGraph {
     /// share rather than copy.
     pub(crate) fn shared_labels(&self) -> Option<Arc<[String]>> {
         self.labels.clone()
+    }
+
+    /// Whether the graph is known to hold no edge `(v, v)`.
+    pub(crate) fn is_loop_free(&self) -> bool {
+        self.loop_free
     }
 
     /// Number of nodes (items).

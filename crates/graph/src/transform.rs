@@ -46,7 +46,11 @@ pub fn reverse(g: &PreferenceGraph) -> PreferenceGraph {
         in_weights: c.out_weights,
         ..c
     };
-    PreferenceGraph::new_owned(crate::CsrParts::copied_from(reversed), g.shared_labels())
+    PreferenceGraph::new_owned(
+        crate::CsrParts::copied_from(reversed),
+        g.shared_labels(),
+        g.is_loop_free(),
+    )
 }
 
 /// The result of [`induced_subgraph`]: the subgraph plus the id mapping.

@@ -24,10 +24,10 @@
 //!   answers every `k' ≤ k` query and every `/minimize` threshold (paper
 //!   §3.2); N concurrent identical requests collapse into one solver run
 //!   whose leader publishes to every parked follower; and after a swap
-//!   the next leader repairs the lineage's harvested
-//!   [`pcover_core::WarmState`] via [`pcover_core::SolverSpec::solve_warm`]
-//!   instead of solving cold (bit-identical answer, `O(touched)` round-0
-//!   work; DESIGN §9.1). Lookup and flight registration share the lock,
+//!   the next leader repairs the [`pcover_core::WarmState`] the lineage's
+//!   last solve handed back (through
+//!   [`pcover_core::SolverSpec::solve_handing_back`]) instead of solving
+//!   cold (bit-identical answer, `O(touched)` round-0 work; DESIGN §9.1). Lookup and flight registration share the lock,
 //!   so a request can never lead a second solve of an answer being
 //!   published. Model-checked in `tests/loom.rs`.
 //! * [`queue::WorkQueue`] — the bounded MPMC work queue behind the load

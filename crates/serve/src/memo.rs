@@ -19,10 +19,10 @@
 //!   and solves, later ones park and share the leader's result, so N
 //!   concurrent identical requests cost one solve. A tight-deadline
 //!   request never joins (or waits behind) a no-deadline solve.
-//! * its **warm** state: a previous generation's [`WarmState`] plus the
-//!   touched frontier of every delta since its capture, which the next
-//!   leader repairs instead of solving cold (DESIGN §9.1). `capacity`
-//!   also bounds the number of warm lineages.
+//! * its **warm** state: the [`WarmState`] a leader's solve handed back
+//!   on some generation, plus the touched frontier of every delta since,
+//!   which the next leader repairs instead of solving cold (DESIGN §9.1).
+//!   `capacity` also bounds the number of warm lineages.
 //!
 //! All of it sits behind one `Mutex` and one `Condvar` on the
 //! `crate::sync` loom shim, so `tests/loom.rs` model-checks the protocol.
@@ -32,10 +32,12 @@
 //! Waits happen only in a predicate loop on the memo's own guard, and
 //! every `notify_all` runs guard-free.
 //!
-//! The leader's [`Leader`] token stores its report on
-//! [`Leader::publish`]; if the leader unwinds without publishing (solver
-//! panic), the token's `Drop` aborts the flight, and its waiters wake and
-//! solve for themselves — a waiter can never hang on a dead leader.
+//! The leader's [`Leader`] token stores its report, and installs the warm
+//! state its solve handed back, on [`Leader::publish`]; a swap
+//! ([`Memo::record_swap`]) is bookkeeping on those states and evaluates no
+//! gain. If the leader unwinds without publishing (solver panic), the
+//! token's `Drop` aborts the flight, and its waiters wake and solve for
+//! themselves — a waiter can never hang on a dead leader.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -45,7 +47,6 @@ use pcover_graph::ItemId;
 use pcover_store::format::Fnv1a;
 
 use crate::http::Status;
-use crate::snapshot::Snapshot;
 use crate::sync::{Condvar, Mutex, MutexGuard};
 
 /// FNV-1a over every [`SolverConfig`] field, floats via `to_bits` — two
@@ -113,9 +114,9 @@ pub struct Lineage {
     /// Reports are prefix chains (cached at larger budgets, they answer
     /// smaller ones).
     prefix_chain: bool,
-    /// Swaps harvest warm states for this lineage: a prefix chain whose
-    /// solver repairs [`WarmState`]s.
-    harvest: bool,
+    /// Leaders keep the warm state their solve hands back: a prefix chain
+    /// whose solver repairs [`WarmState`]s.
+    keeps_warm: bool,
 }
 
 impl Lineage {
@@ -127,7 +128,7 @@ impl Lineage {
             variant,
             fingerprint: fingerprint(config),
             prefix_chain,
-            harvest: prefix_chain && spec.supports_warm_start(),
+            keeps_warm: prefix_chain && spec.supports_warm_start(),
         }
     }
 }
@@ -166,12 +167,23 @@ impl Leader<'_> {
             .map(|(state, touched)| (state.as_ref(), touched.as_slice()))
     }
 
-    /// Stores a successful report and hands `result` to every parked
-    /// follower.
-    pub fn publish(mut self, result: Published) {
+    /// Whether this lineage keeps warm states: its leader should solve
+    /// through [`SolverSpec::solve_handing_back`] and publish the state.
+    pub fn keeps_warm(&self) -> bool {
+        self.lineage.keeps_warm
+    }
+
+    /// Stores a successful report, installs `state` — the warm state the
+    /// solve handed back on this request's generation — as the lineage's,
+    /// and hands `result` to every parked follower. The state is kept
+    /// unless a swap past this generation was already recorded (the state
+    /// would miss its delta), the lineage holds a newer state or a
+    /// same-generation one at least as long, or the memo holds `capacity`
+    /// warm lineages.
+    pub fn publish(mut self, result: Published, state: Option<WarmState>) {
         let registered = std::mem::take(&mut self.registered);
         self.memo
-            .land_flight(&self.lineage, self.key, registered, Some(result));
+            .land_flight(&self.lineage, self.key, registered, Some(result), state);
     }
 }
 
@@ -179,7 +191,8 @@ impl Drop for Leader<'_> {
     fn drop(&mut self) {
         // Unwound without publishing: abort so waiters never hang.
         if self.registered {
-            self.memo.land_flight(&self.lineage, self.key, true, None);
+            self.memo
+                .land_flight(&self.lineage, self.key, true, None, None);
         }
     }
 }
@@ -215,12 +228,13 @@ struct Slot {
 
 struct Warm {
     state: Arc<WarmState>,
-    /// Accumulated touched frontier of every delta applied since capture —
-    /// the dirty set a warm re-solve must recompute. Conservative for
-    /// queries still on an older generation `≥ min_generation` (extra
-    /// dirty nodes cost evaluations, never correctness).
+    /// Accumulated touched frontier of every delta applied since the
+    /// state's generation — the dirty set a warm re-solve must recompute.
+    /// Conservative for queries still on an older generation
+    /// `≥ min_generation` (extra dirty nodes cost evaluations, never
+    /// correctness).
     touched: Vec<ItemId>,
-    /// The generation the state was captured on; it must not serve older
+    /// The generation the state was solved on; it must not serve older
     /// snapshots (their deltas are not in `touched`).
     min_generation: u64,
 }
@@ -307,6 +321,40 @@ impl Table {
 
     fn warm_count(&self) -> usize {
         self.lineages.values().filter(|e| e.warm.is_some()).count()
+    }
+
+    /// Installs `state`, solved on `generation`, as `lineage`'s warm state
+    /// with an empty frontier — unless the memo has recorded a swap past
+    /// `generation` (the state would miss that delta), the lineage holds a
+    /// newer state or a same-generation one at least as long (the largest
+    /// budget wins: longest verified prefix, most reuse), or `capacity`
+    /// warm lineages are already held.
+    fn install_warm(
+        &mut self,
+        lineage: &Lineage,
+        generation: u64,
+        state: WarmState,
+        capacity: usize,
+    ) {
+        if !lineage.keeps_warm || generation < self.generation {
+            return;
+        }
+        let held = self.lineages.get(lineage).and_then(|e| e.warm.as_ref());
+        let replaces = match held {
+            Some(warm) => {
+                warm.min_generation < generation
+                    || (warm.min_generation == generation
+                        && warm.state.order().len() < state.order().len())
+            }
+            None => self.warm_count() < capacity,
+        };
+        if replaces {
+            self.lineages.entry(*lineage).or_default().warm = Some(Warm {
+                state: Arc::new(state),
+                touched: Vec::new(),
+                min_generation: generation,
+            });
+        }
     }
 
     /// Stores a finished report, evicting the least-recently-used report
@@ -508,14 +556,15 @@ impl Memo {
         })
     }
 
-    /// Leader completion: store a successful report, then hand `result`
-    /// to the waiters (`None` aborts the flight).
+    /// Leader completion: store a successful report and install its warm
+    /// state, then hand `result` to the waiters (`None` aborts the flight).
     fn land_flight(
         &self,
         lineage: &Lineage,
         key: FlightKey,
         registered: bool,
         result: Option<Published>,
+        state: Option<WarmState>,
     ) {
         let mut t = self.lock();
         if let Some(Ok(report)) = &result {
@@ -525,6 +574,9 @@ impl Memo {
                 Arc::clone(report),
                 self.capacity,
             );
+        }
+        if let Some(state) = state {
+            t.install_warm(lineage, key.generation, state, self.capacity);
         }
         if registered {
             if let Some(entry) = t.lineages.get_mut(lineage) {
@@ -545,80 +597,54 @@ impl Memo {
         self.done.notify_all();
     }
 
-    /// Records one snapshot swap from `old` to generation `new_generation`,
-    /// whose delta touched `touched` on the old graph. Returns how many
-    /// reports survived the swap.
+    /// Records one snapshot swap from generation `old_generation` to
+    /// `new_generation`, whose delta touched `touched` on the old graph.
+    /// Pure bookkeeping: no graph is read and no gain evaluated (leaders
+    /// install the states their solves hand back, see [`Leader::publish`]).
+    /// Returns how many reports survived the swap.
     ///
     /// * An empty `touched` frontier means the two graphs are bitwise
-    ///   identical: every `old`-generation report moves to the new
+    ///   identical: every `old_generation` report moves to the new
     ///   generation (one already solved *on* the new generation wins).
-    /// * Otherwise every harvest lineage's largest-budget `old` report
-    ///   (longest verified prefix → most reuse) becomes a fresh warm state
-    ///   with `touched` as its dirty set. The `O(n + m)` gain capture runs
-    ///   with the lock released.
-    /// * The generation guard makes out-of-order bookkeeping safe without
-    ///   holding any lock across the swap. When the memo is exactly at
-    ///   `old` the swap chain is unbroken and touched sets accumulate; when
-    ///   the swap reveals a gap the stored warm states have missed a delta
-    ///   and are cleared; when a later swap was already recorded this one's
-    ///   warm states are dropped — they would overwrite states that
-    ///   already account for newer deltas. Dropping states costs warm
-    ///   starts, never correctness.
+    /// * Every warm state that accounts for each delta up to
+    ///   `old_generation` adds `touched` to its frontier, and the others
+    ///   are dropped. The generation guard makes out-of-order bookkeeping
+    ///   safe without holding any lock across the swap: when the memo is
+    ///   exactly at `old_generation` the swap chain is unbroken and every
+    ///   state accumulates; when the swap reveals a gap only states solved
+    ///   on `old_generation` or later are kept — the others have missed a
+    ///   delta; when a later swap was already recorded nothing changes.
+    ///   Dropping states costs warm starts, never correctness.
     /// * Reports from generations before `new_generation` are dropped.
-    pub fn record_swap(&self, old: &Snapshot, new_generation: u64, touched: &[ItemId]) -> u64 {
+    pub fn record_swap(&self, old_generation: u64, new_generation: u64, touched: &[ItemId]) -> u64 {
         let mut survived = 0;
-        let donors: Vec<(Lineage, Arc<SolveReport>)> = {
-            let mut t = self.lock();
-            if touched.is_empty() {
-                for entry in t.lineages.values_mut() {
-                    let moved: Vec<usize> = entry
-                        .ready
-                        .keys()
-                        .filter(|&&(g, _)| g == old.generation && g != new_generation)
-                        .map(|&(_, k)| k)
-                        .collect();
-                    for k in moved {
-                        let Some(ready) = entry.ready.remove(&(old.generation, k)) else {
-                            continue;
-                        };
-                        if let std::collections::hash_map::Entry::Vacant(slot) =
-                            entry.ready.entry((new_generation, k))
-                        {
-                            slot.insert(ready);
-                            survived += 1;
-                        }
+        let mut t = self.lock();
+        if touched.is_empty() {
+            for entry in t.lineages.values_mut() {
+                let moved: Vec<usize> = entry
+                    .ready
+                    .keys()
+                    .filter(|&&(g, _)| g == old_generation && g != new_generation)
+                    .map(|&(_, k)| k)
+                    .collect();
+                for k in moved {
+                    let Some(ready) = entry.ready.remove(&(old_generation, k)) else {
+                        continue;
+                    };
+                    if let std::collections::hash_map::Entry::Vacant(slot) =
+                        entry.ready.entry((new_generation, k))
+                    {
+                        slot.insert(ready);
+                        survived += 1;
                     }
                 }
-                Vec::new()
-            } else {
-                t.lineages
-                    .iter()
-                    .filter(|(lineage, _)| lineage.harvest)
-                    .filter_map(|(lineage, entry)| {
-                        let (_, donor) = entry
-                            .ready
-                            .iter()
-                            .filter(|((g, _), _)| *g == old.generation)
-                            .max_by_key(|((_, k), _)| *k)?;
-                        Some((*lineage, Arc::clone(&donor.report)))
-                    })
-                    .collect()
             }
-        };
-        let fresh: Vec<(Lineage, WarmState)> = donors
-            .into_iter()
-            .map(|(lineage, report)| {
-                let state = WarmState::capture_variant(lineage.variant, &old.graph, &report.order);
-                (lineage, state)
-            })
-            .collect();
-
-        let mut t = self.lock();
-        let in_order = t.generation == old.generation;
-        if self.capacity > 0 && (in_order || t.generation < new_generation) {
+        }
+        let in_order = t.generation == old_generation;
+        if in_order || t.generation < new_generation {
             for entry in t.lineages.values_mut() {
                 match &mut entry.warm {
-                    Some(warm) if in_order => {
+                    Some(warm) if in_order || warm.min_generation >= old_generation => {
                         warm.touched.extend_from_slice(touched);
                         warm.touched.sort_unstable();
                         warm.touched.dedup();
@@ -627,17 +653,6 @@ impl Memo {
                 }
             }
             t.generation = new_generation;
-            for (lineage, state) in fresh {
-                let has = t.lineages.get(&lineage).is_some_and(|e| e.warm.is_some());
-                if !has && t.warm_count() >= self.capacity {
-                    continue;
-                }
-                t.lineages.entry(lineage).or_default().warm = Some(Warm {
-                    state: Arc::new(state),
-                    touched: touched.to_vec(),
-                    min_generation: old.generation,
-                });
-            }
         }
         for entry in t.lineages.values_mut() {
             entry.ready.retain(|&(g, _), _| g >= new_generation);
@@ -671,7 +686,6 @@ impl Memo {
 mod tests {
     use super::*;
     use pcover_core::{Algorithm, Registry, SolveCtx};
-    use pcover_graph::PreferenceGraph;
 
     fn report_of(order: Vec<ItemId>) -> Arc<SolveReport> {
         let k = order.len();
@@ -711,7 +725,37 @@ mod tests {
         let Lookup::Leader(leader) = memo.begin(lineage, generation, report.k(), None) else {
             panic!("an unsolved key must lead");
         };
-        leader.publish(Ok(report));
+        leader.publish(Ok(report), None);
+    }
+
+    /// A budget-`k` `delta` solve of Figure 1 through the hand-back entry,
+    /// as the server's leader runs it for a lineage that keeps warm states:
+    /// the report and the state to publish.
+    fn warm_solve(k: usize) -> (Arc<SolveReport>, Option<WarmState>) {
+        let registry = Registry::builtin();
+        let spec = registry.get("delta").expect("delta is registered");
+        let out = spec
+            .solve_handing_back(
+                Variant::Normalized,
+                &pcover_graph::examples::figure1(),
+                k,
+                None,
+                &mut SolveCtx::default(),
+            )
+            .expect("figure 1 solves");
+        (Arc::new(out.report), out.next)
+    }
+
+    /// Leads `(generation, k)` and publishes [`warm_solve`]'s report and
+    /// state. Returns the solve's order.
+    fn put_warm(memo: &Memo, lineage: &Lineage, generation: u64, k: usize) -> Vec<ItemId> {
+        let Lookup::Leader(leader) = memo.begin(lineage, generation, k, None) else {
+            panic!("an unsolved key must lead");
+        };
+        let (report, state) = warm_solve(k);
+        let order = report.order.clone();
+        leader.publish(Ok(report), state);
+        order
     }
 
     /// How a request for `(generation, k)` is answered; a leader is
@@ -737,13 +781,6 @@ mod tests {
         leader
             .warm()
             .map(|(state, touched)| (state.order().to_vec(), touched.to_vec()))
-    }
-
-    fn snapshot(generation: u64, graph: PreferenceGraph) -> Snapshot {
-        Snapshot {
-            generation,
-            graph: Arc::new(graph),
-        }
     }
 
     #[test]
@@ -801,12 +838,12 @@ mod tests {
 
     #[test]
     fn a_swap_drops_older_generations() {
-        let (g, ids) = pcover_graph::examples::figure1_ids();
+        let (_, ids) = pcover_graph::examples::figure1_ids();
         let memo = Memo::new(8);
         let lazy = lineage("lazy");
         put(&memo, &lazy, 1, report(5));
         put(&memo, &lazy, 2, report(5));
-        assert_eq!(memo.record_swap(&snapshot(1, g), 2, &[ids.a]), 0);
+        assert_eq!(memo.record_swap(1, 2, &[ids.a]), 0);
         assert_eq!(outcome(&memo, &lazy, 1, 5), "miss");
         assert_eq!(outcome(&memo, &lazy, 2, 5), "hit");
     }
@@ -821,41 +858,41 @@ mod tests {
 
         // k=5 collides with the report already solved on generation 2 and
         // is dropped; k=3 moves.
-        assert_eq!(
-            memo.record_swap(&snapshot(1, pcover_graph::examples::figure1()), 2, &[]),
-            1
-        );
+        assert_eq!(memo.record_swap(1, 2, &[]), 1);
         assert_eq!(memo.stats().reports, 2);
         assert_eq!(outcome(&memo, &lazy, 1, 3), "miss");
         assert_eq!(outcome(&memo, &lazy, 2, 3), "hit");
         assert_eq!(outcome(&memo, &lazy, 2, 5), "hit");
 
         // A degenerate same-generation swap moves nothing.
-        assert_eq!(
-            memo.record_swap(&snapshot(2, pcover_graph::examples::figure1()), 2, &[]),
-            0
-        );
+        assert_eq!(memo.record_swap(2, 2, &[]), 0);
         assert_eq!(memo.stats().reports, 2);
     }
 
     #[test]
-    fn harvest_keeps_the_largest_budget_per_warm_capable_lineage() {
+    fn publish_keeps_the_largest_budget_per_warm_capable_lineage() {
         let (g, ids) = pcover_graph::examples::figure1_ids();
         let memo = Memo::new(8);
         let delta = lineage("delta");
-        put(&memo, &delta, 1, report(2));
-        put(&memo, &delta, 1, report(4));
-        put(&memo, &lineage("lazy"), 1, report(5)); // prefix chain, no warm start
-        put(&memo, &lineage("stochastic"), 1, report(5)); // neither
-        put(&memo, &delta, 2, report(5)); // wrong generation
+        // A k=3 solve that lands after the k=4 one: a shorter state.
+        let Lookup::Leader(racing) = memo.begin(&delta, 1, 3, None) else {
+            panic!("k=3 is not ready");
+        };
+        put_warm(&memo, &delta, 1, 2);
+        let largest = put_warm(&memo, &delta, 1, 4);
+        let (late, state) = warm_solve(3);
+        racing.publish(Ok(late), state);
+        put_warm(&memo, &lineage("lazy"), 1, 5); // prefix chain, no warm start
+        put_warm(&memo, &lineage("stochastic"), 1, 5); // neither
+        put(&memo, &delta, 1, report(5)); // a report without a state
 
-        memo.record_swap(&snapshot(1, g.clone()), 2, &[ids.a]);
+        memo.record_swap(1, 2, &[ids.a]);
         assert_eq!(memo.stats().warm_states, 1);
         let Lookup::Leader(leader) = memo.begin(&delta, 2, 6, None) else {
             panic!("k=6 is not ready");
         };
-        let (state, touched) = leader.warm().expect("harvested state");
-        assert_eq!(state.order().len(), 4, "largest budget wins the lineage");
+        let (state, touched) = leader.warm().expect("the published state");
+        assert_eq!(state.order(), largest, "largest budget wins the lineage");
         assert_eq!(touched, &[ids.a]);
         assert!(state.accepts(Variant::Normalized, &g));
         assert_eq!(warm_of(&memo, &lineage("lazy"), 2), None);
@@ -863,17 +900,18 @@ mod tests {
 
     #[test]
     fn warm_states_accumulate_touched_across_chained_swaps() {
-        let (g, ids) = pcover_graph::examples::figure1_ids();
+        let (_, ids) = pcover_graph::examples::figure1_ids();
         let memo = Memo::new(4);
         let delta = lineage("delta");
         assert_eq!(memo.stats().warm_states, 0);
 
-        put(&memo, &delta, 1, report_of(vec![ids.b]));
-        memo.record_swap(&snapshot(1, g.clone()), 2, &[ids.a]);
+        let order = put_warm(&memo, &delta, 1, 1);
+        assert_eq!(order, [ids.b]);
+        memo.record_swap(1, 2, &[ids.a]);
         assert_eq!(warm_of(&memo, &delta, 2), Some((vec![ids.b], vec![ids.a])));
 
         // The next swap folds its frontier into the surviving state.
-        memo.record_swap(&snapshot(2, g), 3, &[ids.c, ids.a]);
+        memo.record_swap(2, 3, &[ids.c, ids.a]);
         assert_eq!(
             warm_of(&memo, &delta, 3),
             Some((vec![ids.b], vec![ids.a, ids.c])),
@@ -887,47 +925,48 @@ mod tests {
 
     #[test]
     fn warm_states_drop_on_gaps_and_late_swaps() {
-        let (g, ids) = pcover_graph::examples::figure1_ids();
+        let (_, ids) = pcover_graph::examples::figure1_ids();
         let memo = Memo::new(4);
         let (first, second, third) = (
             lineage_seeded("delta", 1),
             lineage_seeded("delta", 2),
             lineage_seeded("delta", 3),
         );
-        put(&memo, &first, 1, report_of(vec![ids.b]));
-        memo.record_swap(&snapshot(1, g.clone()), 2, &[ids.a]);
+        put_warm(&memo, &first, 1, 1);
+        memo.record_swap(1, 2, &[ids.a]);
 
-        // Gap: the memo never saw 2 → 5, so stale states are cleared and
-        // only the fresh one survives.
-        put(&memo, &second, 5, report_of(vec![ids.e]));
-        memo.record_swap(&snapshot(5, g.clone()), 6, &[ids.d]);
+        // Gap: the memo never saw 2 → 5, so the stale state is cleared and
+        // only the one solved on 5 survives.
+        let fresh = put_warm(&memo, &second, 5, 2);
+        memo.record_swap(5, 6, &[ids.d]);
         assert_eq!(warm_of(&memo, &first, 6), None);
-        assert_eq!(warm_of(&memo, &second, 6), Some((vec![ids.e], vec![ids.d])));
+        assert_eq!(warm_of(&memo, &second, 6), Some((fresh, vec![ids.d])));
 
-        // States never serve snapshots older than their capture generation.
+        // States never serve snapshots older than their solve's generation.
         assert_eq!(warm_of(&memo, &second, 4), None);
 
-        // Late out-of-order bookkeeping is dropped wholesale.
-        put(&memo, &third, 2, report_of(vec![ids.a]));
-        memo.record_swap(&snapshot(2, g), 3, &[ids.a]);
+        // A solve of a generation the memo has moved past installs nothing,
+        // and late out-of-order bookkeeping changes nothing.
+        put_warm(&memo, &third, 2, 3);
+        memo.record_swap(2, 3, &[ids.a]);
         assert_eq!(warm_of(&memo, &third, 3), None);
         assert_eq!(memo.stats().warm_states, 1);
     }
 
     #[test]
     fn warm_states_respect_capacity() {
-        let (g, ids) = pcover_graph::examples::figure1_ids();
+        let (_, ids) = pcover_graph::examples::figure1_ids();
         let disabled = Memo::new(0);
-        put(&disabled, &lineage("delta"), 1, report(2));
-        disabled.record_swap(&snapshot(1, g.clone()), 2, &[ids.a]);
+        put_warm(&disabled, &lineage("delta"), 1, 2);
+        disabled.record_swap(1, 2, &[ids.a]);
         assert_eq!(disabled.stats(), MemoStats::default());
 
         let memo = Memo::new(1);
         let (first, second) = (lineage_seeded("delta", 1), lineage_seeded("delta", 2));
-        put(&memo, &first, 1, report(2));
-        memo.record_swap(&snapshot(1, g.clone()), 2, &[ids.a]);
-        put(&memo, &second, 2, report(2));
-        memo.record_swap(&snapshot(2, g), 3, &[ids.b]);
+        put_warm(&memo, &first, 1, 2);
+        memo.record_swap(1, 2, &[ids.a]);
+        put_warm(&memo, &second, 2, 2);
+        memo.record_swap(2, 3, &[ids.b]);
         assert_eq!(
             memo.stats().warm_states,
             1,
@@ -1041,7 +1080,7 @@ mod tests {
         // Give the waiters a moment to park (correctness does not depend
         // on it — late arrivals hit the stored report).
         std::thread::sleep(std::time::Duration::from_millis(20));
-        leader.publish(Ok(report(7)));
+        leader.publish(Ok(report(7)), None);
         for w in waiters {
             assert_eq!(w.join().expect("waiter"), 7);
         }
@@ -1075,7 +1114,7 @@ mod tests {
         let Lookup::Leader(leader) = memo.begin(&lazy, 1, 3, None) else {
             panic!("leader");
         };
-        leader.publish(Err((Status::DeadlineExceeded, "late".to_owned())));
+        leader.publish(Err((Status::DeadlineExceeded, "late".to_owned())), None);
         assert_eq!(outcome(&memo, &lazy, 1, 3), "miss");
         assert_eq!(memo.stats(), MemoStats::default());
     }
@@ -1090,7 +1129,7 @@ mod tests {
         };
         assert_eq!(memo.stats().in_flight, 0, "closed memo registers no flight");
         memo.close(); // idempotent
-        leader.publish(Ok(report(5)));
+        leader.publish(Ok(report(5)), None);
         assert_eq!(
             outcome(&memo, &lazy, 1, 5),
             "hit",
@@ -1112,9 +1151,9 @@ mod tests {
             panic!("a deadline request never joins a no-deadline flight");
         };
         assert_eq!(memo.stats().in_flight, 3);
-        a.publish(Ok(report(1)));
-        b.publish(Ok(report(2)));
-        c.publish(Ok(report(1)));
+        a.publish(Ok(report(1)), None);
+        b.publish(Ok(report(2)), None);
+        c.publish(Ok(report(1)), None);
         assert_eq!(memo.stats().in_flight, 0);
     }
 
@@ -1126,7 +1165,7 @@ mod tests {
             let Lookup::Leader(leader) = memo.begin(&lazy, 1, 9, None) else {
                 panic!("round {round} must lead after the previous drained");
             };
-            leader.publish(Ok(report(9)));
+            leader.publish(Ok(report(9)), None);
         }
         assert_eq!(memo.stats(), MemoStats::default());
     }

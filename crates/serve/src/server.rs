@@ -575,7 +575,9 @@ fn parse_common<'r>(
 /// it repairs the lineage's warm state when there is one — strictly fewer
 /// gain recomputations, bit-identical answer; any repair error other than
 /// a deadline falls back to the cold solve — and publishes the result to
-/// the memo and every parked follower.
+/// the memo and every parked follower. A lineage that keeps warm states
+/// solves, cold or warm, through the spec's warm entry, and publishes the
+/// state the solve hands back for the next generation's leader.
 fn memo_solve(
     state: &AppState,
     params: &SolveParams<'_>,
@@ -611,14 +613,16 @@ fn memo_solve(
         Some(observer) => SolveCtx::with_observer(params.config, observer),
         None => SolveCtx::new(params.config),
     };
+    let keeps_warm = leader.keeps_warm();
+    let mut handing_back = |from| {
+        params
+            .spec
+            .solve_handing_back(params.variant, graph, k, from, &mut ctx)
+    };
     let repaired = leader
         .warm()
         .filter(|(warm, _)| warm.accepts(params.variant, graph))
-        .map(|(warm, touched)| {
-            params
-                .spec
-                .solve_warm(params.variant, graph, k, touched, warm, &mut ctx)
-        });
+        .map(|from| handing_back(Some(from)));
     let solved = match repaired {
         Some(Ok(warm)) => {
             let m = &state.metrics;
@@ -627,20 +631,28 @@ fn memo_solve(
                 .fetch_add(warm.rounds_reused as u64, Ordering::Relaxed);
             m.warm_rounds_repaired
                 .fetch_add(warm.rounds_repaired as u64, Ordering::Relaxed);
-            Ok((warm.report, CacheOutcome::Warm))
+            Ok((warm.report, warm.next, CacheOutcome::Warm))
         }
         Some(Err(SolveError::Cancelled)) => Err(SolveError::Cancelled),
         // No usable warm state, or a repair error other than the deadline.
         _ => {
             state.metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
-            params
-                .spec
-                .solve(params.variant, graph, k, &mut ctx)
-                .map(|report| (report, CacheOutcome::Miss))
+            if keeps_warm {
+                handing_back(None).map(|cold| (cold.report, cold.next, CacheOutcome::Miss))
+            } else {
+                params
+                    .spec
+                    .solve(params.variant, graph, k, &mut ctx)
+                    .map(|report| (report, None, CacheOutcome::Miss))
+            }
         }
     };
+    let mut next = None;
     let solved = match solved {
-        Ok((report, outcome)) => Ok((Arc::new(report), outcome)),
+        Ok((report, state, outcome)) => {
+            next = state;
+            Ok((Arc::new(report), outcome))
+        }
         Err(SolveError::Cancelled) => {
             state
                 .metrics
@@ -658,6 +670,7 @@ fn memo_solve(
             .as_ref()
             .map(|(report, _)| Arc::clone(report))
             .map_err(Clone::clone),
+        next,
     );
     solved.map(|(report, outcome)| (report, generation, outcome))
 }
@@ -805,9 +818,11 @@ fn delta_endpoint(req: &Request, state: &AppState) -> Result<String, (Status, St
     let generation = receipt.new.generation;
     let touched = delta.touched_nodes(&receipt.old.graph);
     // One memo call: carry the cached answers across a bitwise-identity
-    // swap, harvest warm states from the superseded generation, and drop
-    // its reports (see `Memo::record_swap`).
-    let survived = state.memo.record_swap(&receipt.old, generation, &touched);
+    // swap, add the delta's frontier to the warm states, and drop the
+    // superseded generation's reports (see `Memo::record_swap`).
+    let survived = state
+        .memo
+        .record_swap(receipt.old.generation, generation, &touched);
     state
         .metrics
         .cache_survived_swap

@@ -30,8 +30,8 @@ pub struct Snapshot {
 
 /// The outcome of one applied delta: the superseded and the newly
 /// published snapshots, captured as a consistent pair under the writer
-/// lock. Post-swap bookkeeping (solve-cache migration, warm-state harvest)
-/// needs both sides — under concurrent swaps, `current()` called after
+/// lock. Post-swap bookkeeping (the touched frontier, read off the old
+/// graph, and the memo's generation guard) needs both sides — under concurrent swaps, `current()` called after
 /// [`SnapshotManager::apply_delta_swap`] may already be generations ahead.
 #[derive(Debug)]
 pub struct SwapReceipt {

@@ -16,7 +16,7 @@
 use loom::sync::Arc;
 use loom::thread;
 
-use pcover_core::{Algorithm, Registry, SolveReport, SolverConfig, Variant};
+use pcover_core::{Algorithm, Registry, SolveCtx, SolveReport, SolverConfig, Variant};
 use pcover_graph::delta::{Change, GraphDelta};
 use pcover_graph::examples::figure1_ids;
 use pcover_graph::ItemId;
@@ -177,7 +177,7 @@ fn concurrent_requests_for_one_key_solve_once() {
             Lookup::Ready(_, outcome) => outcome.as_str(),
             Lookup::Joined(_) => "coalesced",
             Lookup::Leader(leader) => {
-                leader.publish(Ok(report(1)));
+                leader.publish(Ok(report(1)), None);
                 "leader"
             }
         };
@@ -219,14 +219,14 @@ fn coalesced_followers_join_or_lead_fresh_never_hang() {
                     Lookup::Joined(result) => mark(&result.expect("published")),
                     Lookup::Leader(fresh) => {
                         // Arrived after the first flight drained entirely.
-                        fresh.publish(Ok(report(99)));
+                        fresh.publish(Ok(report(99)), None);
                         99
                     }
                     Lookup::Ready(..) => panic!("a capacity-0 memo stores nothing"),
                 })
             })
             .collect();
-        leader.publish(Ok(report(42)));
+        leader.publish(Ok(report(42)), None);
         for f in followers {
             let v = f.join().expect("follower");
             assert!(v == 42 || v == 99, "value must come from a real publish");
@@ -254,7 +254,7 @@ fn aborted_leader_releases_every_waiter() {
             let memo = Arc::clone(&memo);
             thread::spawn(move || match memo.begin(&lineage(), 1, 3, None) {
                 Lookup::Leader(own) => {
-                    own.publish(Ok(report(1)));
+                    own.publish(Ok(report(1)), None);
                     true
                 }
                 Lookup::Joined(_) | Lookup::Ready(..) => false,
@@ -287,7 +287,7 @@ fn close_races_a_parked_waiter_without_stranding_it() {
                 Lookup::Joined(result) => mark(&result.expect("published")) == 7,
                 Lookup::Ready(report, _) => mark(&report) == 7,
                 Lookup::Leader(own) => {
-                    own.publish(Ok(report(7)));
+                    own.publish(Ok(report(7)), None);
                     true
                 }
             })
@@ -296,7 +296,7 @@ fn close_races_a_parked_waiter_without_stranding_it() {
             let memo = Arc::clone(&memo);
             thread::spawn(move || memo.close())
         };
-        leader.publish(Ok(report(7)));
+        leader.publish(Ok(report(7)), None);
         assert!(
             waiter.join().expect("waiter"),
             "waiter must resolve cleanly"
@@ -311,5 +311,46 @@ fn close_races_a_parked_waiter_without_stranding_it() {
             "a closed memo registers no new flight"
         );
         drop(late);
+    });
+}
+
+/// A leader publishing its warm state races the swap past its generation.
+/// The leader solves on generation 1 and publishes the state its solve
+/// handed back; the swap 1 → 2 touched node A. Whichever lands first, a
+/// later leader on generation 2 gets no state (the swap came first, so the
+/// state would miss its delta and is not installed) or the published state
+/// with A in its frontier — never a state that misses the delta.
+#[test]
+fn a_publishing_leader_races_a_swap_without_losing_its_frontier() {
+    loom::model(|| {
+        let (g, ids) = figure1_ids();
+        let registry = Registry::builtin();
+        let spec = *registry.get("delta").expect("delta is registered");
+        let delta = Lineage::new(&spec, Variant::Normalized, &SolverConfig::default());
+        let out = spec
+            .solve_handing_back(Variant::Normalized, &g, 2, None, &mut SolveCtx::default())
+            .expect("figure 1 solves");
+        let memo = Arc::new(Memo::new(8));
+        let leader = {
+            let memo = Arc::clone(&memo);
+            thread::spawn(move || {
+                let Lookup::Leader(leader) = memo.begin(&delta, 1, 2, None) else {
+                    panic!("nothing is ready on generation 1");
+                };
+                leader.publish(Ok(std::sync::Arc::new(out.report)), out.next);
+            })
+        };
+        memo.record_swap(1, 2, &[ids.a]);
+        leader.join().expect("leader");
+        let Lookup::Leader(later) = memo.begin(&delta, 2, 3, None) else {
+            panic!("nothing is ready on generation 2");
+        };
+        if let Some((state, touched)) = later.warm() {
+            assert!(
+                touched.contains(&ids.a),
+                "a state on generation 2 must carry the swap's frontier: {touched:?}"
+            );
+            assert!(state.accepts(Variant::Normalized, &g));
+        }
     });
 }

@@ -145,7 +145,7 @@ pub(crate) const DISPATCH_MODULES: [&str; 10] = [
 /// the same modules (`brute_force::subset_count`, `evaluate_selection`, the
 /// extension solvers) are utilities the registry deliberately does not
 /// wrap, and stay callable.
-const DISPATCH_FNS: [&str; 8] = [
+const DISPATCH_FNS: [&str; 9] = [
     "solve",
     "refine",
     "top_k_weight",
@@ -154,6 +154,7 @@ const DISPATCH_FNS: [&str; 8] = [
     "random_best_of",
     "solve_low_memory_normalized",
     "resolve_warm",
+    "solve_from",
 ];
 
 /// Path prefixes where `solver-dispatch` applies: every layer downstream

@@ -1031,7 +1031,9 @@ fn method_receiver_root(tokens: &[Tok], j: usize) -> Option<String> {
 /// graph's conservative rules but tightened for order tracking: method
 /// aliasing stays within the caller's crate (cross-crate name smearing —
 /// every `.len()` hitting every workspace `len` — manufactures cycles
-/// that cannot exist), and the containing node itself is excluded.
+/// that cannot exist), a `self.m()` or `Self::m()` call resolves to the
+/// caller's own impl when that impl defines `m`, and the containing node
+/// itself is excluded.
 fn resolve_call(
     ctx: &FnCtx<'_>,
     j: usize,
@@ -1043,7 +1045,9 @@ fn resolve_call(
     let name = tokens[j].text.as_str();
     let is_method = j > 0 && tokens[j - 1].text == ".";
     let mut targets: Vec<usize> = Vec::new();
-    if is_method {
+    if let Some(own) = own_impl_method(ctx, j, graph, methods_by_name) {
+        targets.push(own);
+    } else if is_method {
         if let Some(cands) = methods_by_name.get(name) {
             targets.extend(
                 cands
@@ -1093,6 +1097,39 @@ fn resolve_call(
     targets.sort_unstable();
     targets.dedup();
     targets
+}
+
+/// The caller's own method for a call at ident `j` on `self` — `self.m()`
+/// (the receiver is `self` itself, not a field) or `Self::m()` — when the
+/// caller is a method and its impl type defines `m` in the same file and
+/// crate: the one method such a call can reach.
+fn own_impl_method(
+    ctx: &FnCtx<'_>,
+    j: usize,
+    graph: &CallGraph,
+    methods_by_name: &HashMap<&str, Vec<usize>>,
+) -> Option<usize> {
+    let tokens = ctx.file.tokens;
+    let qual = ctx.func.qual.as_deref()?;
+    let before = |back: usize| j.checked_sub(back).map(|i| tokens[i].text.as_str());
+    let on_self = match (before(1), before(2), before(3)) {
+        (Some("."), Some("self"), prev) => prev != Some("."),
+        (Some("::"), Some("Self"), prev) => prev != Some("::"),
+        _ => false,
+    };
+    if !on_self {
+        return None;
+    }
+    methods_by_name
+        .get(tokens[j].text.as_str())?
+        .iter()
+        .copied()
+        .find(|&i| {
+            let node = &graph.nodes[i];
+            node.crate_key == ctx.crate_key
+                && node.qual.as_deref() == Some(qual)
+                && node.file == ctx.file.rel
+        })
 }
 
 /// `" via a -> b"` call chain from node `m` to the acquisition of `class`.
@@ -1587,6 +1624,55 @@ mod tests {
             "wrapper and field acquisitions share one class: {}",
             vs[0].message
         );
+    }
+
+    #[test]
+    fn self_calls_resolve_to_the_callers_own_impl() {
+        // `Table::run` holds STATE and calls `self.poke()`. Only
+        // `Table::poke` can run there; `Queue::poke`, which takes STATE,
+        // shares the name but not the impl, so there is no re-acquisition
+        // (before the fix, `self.poke()` resolved to both and reported one).
+        for call in ["self.poke()", "Self::poke(self)"] {
+            let vs = analyze_src(&format!(
+                "struct Queue;\n\
+                 impl Queue {{\n\
+                     fn poke(&self) {{ let g = STATE.lock().unwrap(); drop(g); }}\n\
+                 }}\n\
+                 struct Table;\n\
+                 impl Table {{\n\
+                     fn poke(&self) {{}}\n\
+                     fn run(&self) {{\n\
+                         let g = STATE.lock().unwrap();\n\
+                         {call};\n\
+                         drop(g);\n\
+                     }}\n\
+                 }}"
+            ));
+            assert!(vs.is_empty(), "{call}: {vs:?}");
+        }
+        // A receiver that is not `self` itself, or an impl without its own
+        // `poke`, keeps the conservative same-name rule.
+        for (impl_poke, call) in [
+            ("fn poke(&self) {}", "self.queue.poke()"),
+            ("", "self.poke()"),
+        ] {
+            let vs = analyze_src(&format!(
+                "struct Queue;\n\
+                 impl Queue {{\n\
+                     fn poke(&self) {{ let g = STATE.lock().unwrap(); drop(g); }}\n\
+                 }}\n\
+                 struct Table {{ queue: Queue }}\n\
+                 impl Table {{\n\
+                     {impl_poke}\n\
+                     fn run(&self) {{\n\
+                         let g = STATE.lock().unwrap();\n\
+                         {call};\n\
+                         drop(g);\n\
+                     }}\n\
+                 }}"
+            ));
+            assert_eq!(rules(&vs), ["lock-order-cycle"], "{call}: {vs:?}");
+        }
     }
 
     #[test]
